@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale smoke chaos crash remote failover erasure scale share perfbench-smoke fmt lint-registry check clean
 
 all: build
 
@@ -124,6 +124,12 @@ scale:
 share:
 	dune exec bin/nemesis_sim.exe -- tenancy -d 20 --tenants 12
 
+# One short run of the paging benchmark's scheduler-bound workload:
+# its books and same-input determinism checks must hold (non-zero exit
+# on breach). About a second of measured wall time.
+perfbench-smoke:
+	python3 perfbench/run.py --workload many-domains --seed 42 --seconds 1 --trace 0
+
 # Registry hygiene: every registered extension name (on every axis)
 # must be documented in README.md/DESIGN.md, and every lib/experiments
 # module must be claimed by a registered experiment (non-zero exit on
@@ -131,7 +137,7 @@ share:
 lint-registry:
 	dune exec bin/nemesis_sim.exe -- lint-registry
 
-check: fmt build test lint-registry smoke chaos crash remote failover erasure scale share
+check: fmt build test lint-registry smoke chaos crash remote failover erasure scale share perfbench-smoke
 	@echo "check OK"
 
 clean:

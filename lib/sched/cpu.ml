@@ -15,10 +15,11 @@ type client = {
 type t = {
   sim : Sim.t;
   edf : Edf.t;
-  (* Clients indexed by EDF id: the scheduler looks members up on
-     every pick-next predicate call, so this must be O(1), not a
-     list scan. *)
-  members : (int, client) Hashtbl.t;
+  (* Clients indexed by EDF id, which [Edf.admit] hands out 0, 1, 2,
+     ... (None once removed): the scheduler looks members up on every
+     pick-next predicate call, so this must be O(1) and
+     allocation-free. *)
+  mutable members : client option array;
   kick : Sync.Waitq.t;
   mutable running : bool;
   (* Upper bound on one uninterrupted slack grant, so that budgeted
@@ -26,7 +27,7 @@ type t = {
   slack_quantum : Time.span;
 }
 
-let find_member t e = Hashtbl.find_opt t.members e.Edf.id
+let find_member t e = t.members.(e.Edf.id)
 
 (* Feed the QoS auditor at every period boundary: contracted slice vs
    what was actually consumed, and whether the client spent the whole
@@ -48,7 +49,7 @@ let audit_boundary t e ~unused ~boundary ~grants:_ =
 
 let create sim =
   let t =
-    { sim; edf = Edf.create (); members = Hashtbl.create 64;
+    { sim; edf = Edf.create (); members = [||];
       kick = Sync.Waitq.create (); running = false; slack_quantum = Time.ms 1 }
   in
   Edf.set_boundary_hook t.edf (audit_boundary t);
@@ -66,33 +67,27 @@ let rec scheduler_loop t =
   let runnable e =
     match find_member t e with Some c -> c.live && has_pending c | None -> false
   in
-  match Edf.select t.edf ~only:runnable ~now with
-  | Some e -> run_chunk t e ~slack:false
+  (* The earliest client with work queued settles the common cases in
+     one walk: nobody has work, or it has budget and wins the EDF
+     pick outright. *)
+  match Edf.earliest t.edf ~only:runnable with
   | None ->
-    (match Edf.select_slack t.edf ~only:runnable ~now with
-    | Some e -> run_chunk t e ~slack:true
-    | None ->
-      (* Nothing runnable: wait for work, but never past the next
-         period boundary of a client that still has queued work (its
-         budget may return then). The min over the member table is
-         order-independent, so hash iteration order cannot leak into
-         scheduling decisions. *)
-      let next_dl =
-        Hashtbl.fold
-          (fun _ c best ->
-            if c.live && has_pending c then
-              match best with
-              | Some d when d <= c.edf.Edf.deadline -> best
-              | _ -> Some c.edf.Edf.deadline
-            else best)
-          t.members None
-      in
-      (match next_dl with
-      | Some d ->
-        let span = max 0 (Time.diff d now) in
-        ignore (Sync.Waitq.wait_timeout t.kick span)
-      | None -> Sync.Waitq.wait t.kick);
-      scheduler_loop t)
+    Sync.Waitq.wait t.kick;
+    scheduler_loop t
+  | Some first when Edf.has_budget first -> run_chunk t first ~slack:false
+  | Some first -> (
+    match Edf.select t.edf ~only:runnable ~now with
+    | Some e -> run_chunk t e ~slack:false
+    | None -> (
+      match Edf.select_slack t.edf ~only:runnable ~now with
+      | Some e -> run_chunk t e ~slack:true
+      | None ->
+        (* Wait for work, but never past the next period boundary of
+           a client that still has queued work (its budget may return
+           then). *)
+        let span = max 0 (Time.diff first.Edf.deadline now) in
+        ignore (Sync.Waitq.wait_timeout t.kick span);
+        scheduler_loop t))
 
 and run_chunk t e ~slack =
   match find_member t e with
@@ -128,14 +123,16 @@ let admit t ~name ~period ~slice ?(extra = true) () =
       { edf = e; pending = Queue.create (); live = true;
         backlogged_since = None }
     in
-    Hashtbl.replace t.members e.Edf.id c;
+    if e.Edf.id = Array.length t.members then
+      t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);
+    t.members.(e.Edf.id) <- Some c;
     ensure_running t;
     Ok c
 
 let remove t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  Hashtbl.remove t.members c.edf.Edf.id;
+  t.members.(c.edf.Edf.id) <- None;
   Sync.Waitq.broadcast t.kick
 
 let consume t (c : client) span =

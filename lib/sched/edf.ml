@@ -12,22 +12,26 @@ type client = {
   mutable slack_total : Time.span;
 }
 
-(* Members live on an intrusive list in admission order (iteration
-   order is observable through traces and the boundary hook, so it
-   must stay deterministic and match the seed's append-only list).
-   The pick-next paths go through a lazy-deletion binary heap keyed
-   by (deadline, id): every deadline change pushes a fresh entry, and
-   entries whose key no longer matches the client's live deadline —
-   or whose client has been removed — are discarded when they surface
-   at the top. The (deadline, id) order reproduces the seed fold's
-   tie-break exactly: ids are handed out in admission order and the
-   fold kept the first-admitted client on equal deadlines. *)
+(* Ids are handed out 0, 1, 2, ... by [admit], so [table] is a dense
+   client table indexed by id, and [alive] says which of its first
+   [admitted] slots are still members. Walking it in id order is
+   walking the members in admission order (observable through traces
+   and the boundary hook, so it must match the seed's append-only
+   list).
+
+   The pick-next paths read [order]: the ids of the live clients,
+   sorted by (deadline, id), in its first [live] slots. The order
+   reproduces the seed fold's tie-break exactly: ids follow admission
+   order and the fold kept the first-admitted client on equal
+   deadlines. It holds ints, so re-siting a client after a deadline
+   change is a plain memmove, and a scan in place allocates
+   nothing. *)
 type t = {
-  members : client Ilist.t;
-  nodes : (int, client Ilist.node) Hashtbl.t;
-  by_id : (int, client) Hashtbl.t;
-  deadlines : client Heap.t;
-  mutable next_id : int;
+  mutable table : client array;
+  mutable alive : bool array;
+  mutable admitted : int;
+  mutable order : int array;
+  mutable live : int;
   rollover : bool;
   mutable on_boundary :
     (client -> unused:Time.span -> boundary:Time.t -> grants:int -> unit)
@@ -36,27 +40,58 @@ type t = {
 
 let create ?(rollover = true) () =
   {
-    members = Ilist.create ();
-    nodes = Hashtbl.create 64;
-    by_id = Hashtbl.create 64;
-    deadlines = Heap.create ();
-    next_id = 0;
+    table = [||];
+    alive = [||];
+    admitted = 0;
+    order = [||];
+    live = 0;
     rollover;
     on_boundary = None;
   }
 
 let set_boundary_hook t f = t.on_boundary <- Some f
-let clients t = Ilist.to_list t.members
-let length t = Ilist.length t.members
-let find t id = Hashtbl.find_opt t.by_id id
+
+let clients t =
+  let l = ref [] in
+  for id = t.admitted - 1 downto 0 do
+    if t.alive.(id) then l := t.table.(id) :: !l
+  done;
+  !l
 
 let utilisation t =
-  Ilist.fold
-    (fun acc c -> acc +. (float_of_int c.slice /. float_of_int c.period))
-    0.0 t.members
+  let u = ref 0.0 in
+  for id = 0 to t.admitted - 1 do
+    if t.alive.(id) then begin
+      let c = t.table.(id) in
+      u := !u +. (float_of_int c.slice /. float_of_int c.period)
+    end
+  done;
+  !u
 
-let push_deadline t c = Heap.push t.deadlines ~key:c.deadline ~sub:c.id c
-let live t ~key c = Hashtbl.mem t.by_id c.id && c.deadline = key
+let client_at t i = t.table.(t.order.(i))
+
+(* First slot in [lo, hi) whose client sorts at or after
+   (deadline, id). *)
+let rec lower_bound t ~lo ~hi ~deadline ~id =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = client_at t mid in
+    if c.deadline < deadline || (c.deadline = deadline && c.id < id) then
+      lower_bound t ~lo:(mid + 1) ~hi ~deadline ~id
+    else lower_bound t ~lo ~hi:mid ~deadline ~id
+
+(* Slot of a live client, found under its current deadline. *)
+let slot_of t c =
+  lower_bound t ~lo:0 ~hi:t.live ~deadline:c.deadline ~id:c.id
+
+let grow a len fill =
+  if len < Array.length a then a
+  else begin
+    let b = Array.make (max 16 (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 let admit t ~name ~period ~slice ?(extra = false) ~now () =
   if period <= 0 || slice <= 0 then Error "period and slice must be positive"
@@ -67,68 +102,73 @@ let admit t ~name ~period ~slice ?(extra = false) ~now () =
       Error (Printf.sprintf "admission refused: utilisation %.3f > 1" u)
     else begin
       let c =
-        { id = t.next_id; cname = name; period; slice; extra;
+        { id = t.admitted; cname = name; period; slice; extra;
           deadline = Time.add now period; remaining = slice;
           used_total = 0; slack_total = 0 }
       in
-      t.next_id <- t.next_id + 1;
-      let node = Ilist.make_node c in
-      Ilist.push_back t.members node;
-      Hashtbl.replace t.nodes c.id node;
-      Hashtbl.replace t.by_id c.id c;
-      push_deadline t c;
+      t.table <- grow t.table t.admitted c;
+      t.alive <- grow t.alive t.admitted false;
+      t.table.(c.id) <- c;
+      t.alive.(c.id) <- true;
+      t.admitted <- t.admitted + 1;
+      t.order <- grow t.order t.live 0;
+      let s = slot_of t c in
+      Array.blit t.order s t.order (s + 1) (t.live - s);
+      t.order.(s) <- c.id;
+      t.live <- t.live + 1;
       Ok c
     end
   end
 
-(* Heap entries for a removed client are discarded lazily as they
-   surface at the top of the heap. *)
 let remove t c =
-  match Hashtbl.find_opt t.nodes c.id with
-  | None -> ()
-  | Some node ->
-    Ilist.remove t.members node;
-    Hashtbl.remove t.nodes c.id;
-    Hashtbl.remove t.by_id c.id
+  if t.alive.(c.id) then begin
+    t.alive.(c.id) <- false;
+    let s = slot_of t c in
+    Array.blit t.order (s + 1) t.order s (t.live - s - 1);
+    t.live <- t.live - 1
+  end
 
 let replenish t ~now c =
-  let grants = ref 0 in
-  let first_boundary = c.deadline in
-  let unused = max 0 c.remaining in
-  while c.deadline <= now do
-    incr grants;
-    let carry = if t.rollover && c.remaining < 0 then c.remaining else 0 in
-    c.remaining <- c.slice + carry;
-    c.deadline <- Time.add c.deadline c.period
-  done;
-  (* A client that slept across several periods does not stack
-     allocations: each boundary above reset [remaining] to at most one
-     slice, and the deadline caught up one period at a time. *)
-  if !grants > 0 then begin
-    push_deadline t c;
-    match t.on_boundary with
+  if c.deadline > now then 0
+  else begin
+    let first_boundary = c.deadline in
+    let unused = max 0 c.remaining in
+    let slot = if t.alive.(c.id) then slot_of t c else -1 in
+    let grants = ref 0 in
+    while c.deadline <= now do
+      incr grants;
+      let carry = if t.rollover && c.remaining < 0 then c.remaining else 0 in
+      c.remaining <- c.slice + carry;
+      c.deadline <- Time.add c.deadline c.period
+    done;
+    (* A client that slept across several periods does not stack
+       allocations: each boundary above reset [remaining] to at most
+       one slice, and the deadline caught up one period at a time.
+       The deadline only moved later, so the client's new slot lies
+       among those after its old one: shift them down by one. *)
+    if slot >= 0 then begin
+      let s =
+        lower_bound t ~lo:(slot + 1) ~hi:t.live ~deadline:c.deadline ~id:c.id
+      in
+      Array.blit t.order (slot + 1) t.order slot (s - slot - 1);
+      t.order.(s - 1) <- c.id
+    end;
+    (match t.on_boundary with
     | Some f -> f c ~unused ~boundary:first_boundary ~grants:!grants
-    | None -> ()
-  end;
-  !grants
+    | None -> ());
+    !grants
+  end
 
-let replenish_all t ~now =
-  List.filter_map
-    (fun c ->
-      let g = replenish t ~now c in
-      if g > 0 then Some (c, g) else None)
-    (Ilist.to_list t.members)
-
+(* [replenish] re-sites the front client past [now], so each due
+   client is visited exactly once, in (deadline, id) order. *)
 let rec replenish_due t ~now =
-  match Heap.peek t.deadlines with
-  | None -> ()
-  | Some (key, _, _) when key > now -> ()
-  | Some (key, _, c) ->
-    ignore (Heap.pop t.deadlines);
-    (* [replenish] pushes the caught-up deadline, which lands past
-       [now], so each live client is visited at most once per call. *)
-    if live t ~key c then ignore (replenish t ~now c);
-    replenish_due t ~now
+  if t.live > 0 then begin
+    let c = client_at t 0 in
+    if c.deadline <= now then begin
+      ignore (replenish t ~now c);
+      replenish_due t ~now
+    end
+  end
 
 let charge c span =
   c.remaining <- c.remaining - span;
@@ -140,45 +180,28 @@ let charge_slack c span =
 
 let has_budget c = c.remaining > 0
 
-(* Pop entries in (deadline, id) order until one satisfies [pred].
-   Stale entries are dropped for good; live entries that fail [pred]
-   are stashed and pushed back, as is the winner (a live client keeps
-   exactly one current heap entry). *)
-let heap_select t ~pred =
-  let stash = ref [] in
-  let rec go () =
-    match Heap.pop t.deadlines with
-    | None -> None
-    | Some (key, sub, c) ->
-      if not (live t ~key c) then go ()
-      else if pred c then Some (key, sub, c)
-      else begin
-        stash := (key, sub, c) :: !stash;
-        go ()
-      end
-  in
-  let winner = go () in
-  (match winner with
-  | Some (key, sub, c) -> Heap.push t.deadlines ~key ~sub c
-  | None -> ());
-  List.iter (fun (key, sub, c) -> Heap.push t.deadlines ~key ~sub c) !stash;
-  match winner with Some (_, _, c) -> Some c | None -> None
+type want = Budget | Slack | Any
 
-let select ?(only = fun _ -> true) t ~now:_ =
-  heap_select t ~pred:(fun c -> has_budget c && only c)
+(* Walk the live clients in (deadline, id) order from slot [i] for
+   the first one [want] admits that also satisfies [only]. *)
+let rec scan t want only i =
+  if i >= t.live then None
+  else
+    let c = client_at t i in
+    let eligible =
+      match want with
+      | Budget -> has_budget c
+      | Slack -> c.extra
+      | Any -> true
+    in
+    if eligible && only c then Some c else scan t want only (i + 1)
 
-let select_slack ?(only = fun _ -> true) t ~now:_ =
-  heap_select t ~pred:(fun c -> c.extra && only c)
+let select ?(only = fun _ -> true) t ~now:_ = scan t Budget only 0
+let select_slack ?(only = fun _ -> true) t ~now:_ = scan t Slack only 0
+let earliest ?(only = fun _ -> true) t = scan t Any only 0
 
-let rec next_deadline t =
-  match Heap.peek t.deadlines with
-  | None -> None
-  | Some (key, _, c) ->
-    if live t ~key c then Some key
-    else begin
-      ignore (Heap.pop t.deadlines);
-      next_deadline t
-    end
+let next_deadline t =
+  if t.live = 0 then None else Some (client_at t 0).deadline
 
 let pp_client ppf c =
   Format.fprintf ppf "%s(p=%a,s=%a,dl=%a,rem=%a)" c.cname Time.pp_span

@@ -39,13 +39,9 @@ val admit :
 val remove : t -> client -> unit
 
 val clients : t -> client list
-(** Live clients in admission order. *)
-
-val length : t -> int
-(** Number of live clients, O(1). *)
-
-val find : t -> int -> client option
-(** Look up a live client by id, O(1). *)
+(** Live clients in admission order. Ids are handed out 0, 1, 2, ...
+    in admission order, so callers may index their own per-client
+    state by [id]. *)
 
 val utilisation : t -> float
 
@@ -66,14 +62,12 @@ val replenish : t -> now:Time.t -> client -> int
     client idle across many periods is fast-forwarded without stacking
     allocations. *)
 
-val replenish_all : t -> now:Time.t -> (client * int) list
-(** Replenish every client in admission order; returns those granted
-    new allocations. O(n) — prefer {!replenish_due} on hot paths. *)
-
 val replenish_due : t -> now:Time.t -> unit
 (** Replenish exactly the clients whose deadline is at or before
-    [now], found through the deadline heap in (deadline, id) order:
-    O(k log n) for k due clients rather than a scan of all n. *)
+    [now], in (deadline, id) order — the order the boundary hook sees
+    them. Each is re-sited in the deadline order by an int memmove:
+    O(k · n) word moves for k due clients, no scan of the others and
+    no allocation. *)
 
 val charge : client -> Time.span -> unit
 
@@ -86,17 +80,22 @@ val has_budget : client -> bool
 
 val select : ?only:(client -> bool) -> t -> now:Time.t -> client option
 (** Earliest-deadline client with budget satisfying [only]. Callers
-    must replenish first ({!replenish_due} or {!replenish_all}).
-    Backed by a lazy-deletion heap keyed (deadline, id), so ties on
-    the deadline go to the earliest-admitted client — the same winner
-    the seed's member-list fold produced. *)
+    must replenish first ({!replenish_due} or {!replenish}). Walks the
+    live clients in place in (deadline, id) order, so ties on the
+    deadline go to the earliest-admitted client — the same winner the
+    seed's member-list fold produced. Cost: O(k) predicate calls, k
+    the rank of the winner, and no allocation beyond the result. *)
 
 val select_slack : ?only:(client -> bool) -> t -> now:Time.t -> client option
 (** Earliest-deadline slack-eligible ([extra]) client satisfying
     [only], regardless of budget — used to hand out idle resource
-    time. *)
+    time. Same walk and cost as {!select}. *)
+
+val earliest : ?only:(client -> bool) -> t -> client option
+(** Earliest-deadline client satisfying [only], regardless of budget
+    and slack eligibility. Same walk and cost as {!select}. *)
 
 val next_deadline : t -> Time.t option
-(** Earliest pending period boundary over all clients. *)
+(** Earliest pending period boundary over all clients, O(1). *)
 
 val pp_client : Format.formatter -> client -> unit

@@ -46,20 +46,19 @@ type t = {
   sim : Sim.t;
   dm : Disk_model.t;
   edf : Edf.t;
-  (* Streams in admission order (replenish iterates it, and the trace
-     it records is compared bit-for-bit by tests), plus an id-keyed
-     node table so the scheduler's per-decision member lookups are
-     O(1) rather than a list scan. *)
-  members : client Ilist.t;
-  nodes : (int, client Ilist.node) Hashtbl.t;
+  (* Streams indexed by EDF id, which [Edf.admit] hands out in
+     admission order (None once retired): replenish walks it in that
+     order (the trace it records is compared bit-for-bit by tests),
+     and the scheduler's per-decision member lookups are O(1) and
+     allocation-free. *)
+  mutable members : client option array;
   kick : Sync.Waitq.t;
   events : event Trace.t;
   laxity_enabled : bool;
   mutable running : bool;
 }
 
-let find_member t e =
-  Option.map Ilist.value (Hashtbl.find_opt t.nodes e.Edf.id)
+let find_member t e = t.members.(e.Edf.id)
 
 (* Feed the QoS auditor at stream period boundaries (cf. Cpu). *)
 let audit_boundary t e ~unused ~boundary ~grants:_ =
@@ -79,8 +78,8 @@ let audit_boundary t e ~unused ~boundary ~grants:_ =
 
 let create ?(rollover = true) ?(laxity_enabled = true) sim dm =
   let t =
-    { sim; dm; edf = Edf.create ~rollover (); members = Ilist.create ();
-      nodes = Hashtbl.create 64; kick = Sync.Waitq.create ();
+    { sim; dm; edf = Edf.create ~rollover (); members = [||];
+      kick = Sync.Waitq.create ();
       events = Trace.create (); laxity_enabled; running = false }
   in
   Edf.set_boundary_hook t.edf (audit_boundary t);
@@ -100,19 +99,22 @@ let utilisation t = Edf.utilisation t.edf
 let has_pending (c : client) = not (Io_channel.is_empty c.channel)
 
 (* Grant period-boundary allocations; a new allocation puts an idled
-   client back on the runnable queue with a fresh lax allowance. *)
+   client back on the runnable queue with a fresh lax allowance. The
+   walk is a no-op unless some boundary is due, so skip it then. *)
 let replenish t ~now =
-  Ilist.iter
-    (fun (c : client) ->
-      if c.live then begin
-        let grants = Edf.replenish t.edf ~now c.edf in
-        if grants > 0 then begin
-          c.idled <- false;
-          c.lax_left <- c.cqos.Qos.laxity;
-          Trace.record t.events now (Alloc { client = client_name c })
-        end
-      end)
-    t.members
+  match Edf.next_deadline t.edf with
+  | Some d when d <= now ->
+    Array.iter
+      (function
+        | Some c when c.live ->
+          if Edf.replenish t.edf ~now c.edf > 0 then begin
+            c.idled <- false;
+            c.lax_left <- c.cqos.Qos.laxity;
+            Trace.record t.events now (Alloc { client = client_name c })
+          end
+        | _ -> ())
+      t.members
+  | _ -> ()
 
 let execute_txn t (c : client) ~slack =
   let req = Io_channel.recv c.channel in
@@ -252,9 +254,9 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
         lax_left = qos.Qos.laxity; idled = false; live = true; txns = 0;
         bytes = 0; lax_used = 0; backlogged_since = None }
     in
-    let node = Ilist.make_node c in
-    Ilist.push_back t.members node;
-    Hashtbl.replace t.nodes e.Edf.id node;
+    if e.Edf.id = Array.length t.members then
+      t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);
+    t.members.(e.Edf.id) <- Some c;
     ensure_running t;
     Sync.Waitq.broadcast t.kick;
     Ok c
@@ -273,11 +275,7 @@ let drain_cancelled (c : client) =
 let retire t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  (match Hashtbl.find_opt t.nodes c.edf.Edf.id with
-  | Some node ->
-    Ilist.remove t.members node;
-    Hashtbl.remove t.nodes c.edf.Edf.id
-  | None -> ());
+  t.members.(c.edf.Edf.id) <- None;
   (* Unblock waiters: requests still queued will never be scheduled. *)
   drain_cancelled c;
   c.backlogged_since <- None;

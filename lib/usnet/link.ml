@@ -45,11 +45,11 @@ type t = {
   lname : string;
   params : Net_params.t;
   edf : Edf.t;
-  (* Clients in admission order (replenish records trace events while
-     walking it) plus an id-keyed node table for O(1) member lookups
-     on the pick-next path. *)
-  members : client Ilist.t;
-  nodes : (int, client Ilist.node) Hashtbl.t;
+  (* Clients indexed by EDF id, which [Edf.admit] hands out in
+     admission order (None once retired): replenish records trace
+     events while walking it in that order, and the pick-next path
+     looks members up in O(1) without allocating. *)
+  mutable members : client option array;
   kick : Sync.Waitq.t;
   events : event Trace.t;
   mutable running : bool;
@@ -58,7 +58,7 @@ type t = {
 let create ?(name = "link") ?(params = Net_params.fast_ethernet)
     ?(rollover = true) sim =
   { sim; lname = name; params; edf = Edf.create ~rollover ();
-    members = Ilist.create (); nodes = Hashtbl.create 64;
+    members = [||];
     kick = Sync.Waitq.create (); events = Trace.create (); running = false }
 
 let name t = t.lname
@@ -71,20 +71,23 @@ let lax_time (c : client) = c.lax_used
 let trace t = t.events
 let utilisation t = Edf.utilisation t.edf
 
-let find_member t e =
-  Option.map Ilist.value (Hashtbl.find_opt t.nodes e.Edf.id)
+let find_member t e = t.members.(e.Edf.id)
 
 let has_pending (c : client) = not (Queue.is_empty c.ring)
 
+(* The walk is a no-op unless some boundary is due, so skip it then. *)
 let replenish t ~now =
-  Ilist.iter
-    (fun (c : client) ->
-      if c.live && Edf.replenish t.edf ~now c.edf > 0 then begin
-        c.idled <- false;
-        c.lax_left <- c.laxity;
-        Trace.record t.events now (Alloc { client = client_name c })
-      end)
-    t.members
+  match Edf.next_deadline t.edf with
+  | Some d when d <= now ->
+    Array.iter
+      (function
+        | Some c when c.live && Edf.replenish t.edf ~now c.edf > 0 ->
+          c.idled <- false;
+          c.lax_left <- c.laxity;
+          Trace.record t.events now (Alloc { client = client_name c })
+        | _ -> ())
+      t.members
+  | _ -> ()
 
 let gauges t (c : client) =
   if !Obs.enabled then begin
@@ -167,19 +170,11 @@ let rec scheduler_loop t =
     | None ->
       (* Sleep to the next period boundary of a client with queued
          packets, or until a new submission. *)
-      let next_dl =
-        Ilist.fold
-          (fun best (c : client) ->
-            if c.live && has_pending c then
-              match best with
-              | Some d when d <= c.edf.Edf.deadline -> best
-              | _ -> Some c.edf.Edf.deadline
-            else best)
-          None t.members
-      in
-      (match next_dl with
-      | Some d ->
-        ignore (Sync.Waitq.wait_timeout t.kick (max 1 (Time.diff d now)))
+      (match Edf.earliest t.edf ~only:sendable with
+      | Some e ->
+        ignore
+          (Sync.Waitq.wait_timeout t.kick
+             (max 1 (Time.diff e.Edf.deadline now)))
       | None -> Sync.Waitq.wait t.kick)));
   scheduler_loop t
 
@@ -215,9 +210,9 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
           idled = false; live = true; packets = 0; sent_bytes = 0;
           lax_used = 0 }
       in
-      let node = Ilist.make_node c in
-      Ilist.push_back t.members node;
-      Hashtbl.replace t.nodes e.Edf.id node;
+      if e.Edf.id = Array.length t.members then
+        t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);
+      t.members.(e.Edf.id) <- Some c;
       ensure_running t;
       Sync.Waitq.broadcast t.kick;
       Ok c
@@ -225,11 +220,7 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
 let retire t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  (match Hashtbl.find_opt t.nodes c.edf.Edf.id with
-  | Some node ->
-    Ilist.remove t.members node;
-    Hashtbl.remove t.nodes c.edf.Edf.id
-  | None -> ());
+  t.members.(c.edf.Edf.id) <- None;
   Sync.Waitq.broadcast t.kick
 
 let send t (c : client) ~bytes =

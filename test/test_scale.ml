@@ -114,45 +114,54 @@ let frame_stack_unit () =
   Alcotest.(check (list int)) "top_k over-ask" [ 3; 7 ]
     (Frame_stack.top_k fs 5)
 
-(* --- Heap-backed EDF vs the seed's fold model ---------------------- *)
+(* --- Sorted-table EDF vs the seed's fold model ---------------------- *)
 
 (* The seed picked the next client by folding over the member list in
    admission order, keeping the earliest deadline with budget (first
    admitted wins ties), and replenished by scanning every member. The
-   heap rebuild must select the same client after any sequence of
-   admissions, charges, removals and clock advances. *)
+   sorted id table must select the same client after any sequence of
+   admissions, charges, removals and clock advances — with and without
+   a runnability filter, for budget and for slack picks — report the
+   same next deadline, and fire the boundary hook for the same clients
+   in (deadline, admission) order. *)
 
 type m_client = {
   m_name : string;
   m_period : int;
   m_slice : int;
+  m_extra : bool;
   mutable m_deadline : int;
   mutable m_remaining : int;
 }
 
 type edf_op =
-  | Eadmit of int * int  (** (period choice, slice choice) *)
+  | Eadmit of int * int * bool  (** (period choice, slice choice, extra) *)
   | Eadvance of int  (** ms *)
   | Echarge of int * int  (** (client pick, span us) *)
   | Eremove of int  (** client pick *)
-  | Eselect
+  | Ereplenish_removed of int  (** removed-client pick *)
+  | Eselect of int  (** bit k set: each client c<j>, j mod 16 = k, blocked *)
 
 let edf_op_gen =
   QCheck.Gen.(
     frequency
-      [ (2, map2 (fun p s -> Eadmit (p, s)) (int_range 0 3) (int_range 0 2));
+      [ (2, map3 (fun p s x -> Eadmit (p, s, x)) (int_range 0 3)
+             (int_range 0 2) bool);
         (3, map (fun d -> Eadvance d) (int_range 1 12));
         (3, map2 (fun i u -> Echarge (i, u)) (int_range 0 7)
              (int_range 100 1800));
         (1, map (fun i -> Eremove i) (int_range 0 7));
-        (4, return Eselect) ])
+        (1, map (fun i -> Ereplenish_removed i) (int_range 0 7));
+        (4, map (fun m -> Eselect m) (int_range 0 0xffff)) ])
 
 let edf_op_print = function
-  | Eadmit (p, s) -> Printf.sprintf "admit %d %d" p s
+  | Eadmit (p, s, x) ->
+    Printf.sprintf "admit %d %d%s" p s (if x then " x" else "")
   | Eadvance d -> Printf.sprintf "advance %dms" d
   | Echarge (i, u) -> Printf.sprintf "charge %d %dus" i u
   | Eremove i -> Printf.sprintf "remove %d" i
-  | Eselect -> "select"
+  | Ereplenish_removed i -> Printf.sprintf "replenish removed %d" i
+  | Eselect m -> Printf.sprintf "select blocked=%04x" m
 
 let m_utilisation model =
   List.fold_left
@@ -167,34 +176,52 @@ let m_replenish now c =
     c.m_deadline <- c.m_deadline + c.m_period
   done
 
-let m_select model =
+(* The seed's fold: earliest deadline among the clients [eligible]
+   admits, the first admitted kept on ties. *)
+let m_pick eligible model =
   List.fold_left
     (fun best c ->
-      if c.m_remaining > 0 then
+      if eligible c then
         match best with
         | Some b when b.m_deadline <= c.m_deadline -> best
         | _ -> Some c
       else best)
     None model
 
+(* Client "c<j>" is blocked when bit (j mod 16) of [mask] is set. *)
+let blocked mask name =
+  let j = int_of_string (String.sub name 1 (String.length name - 1)) in
+  (mask lsr (j mod 16)) land 1 = 1
+
+let same_pick what real expect =
+  match (real, expect) with
+  | None, None -> ()
+  | Some r, Some m when r.Sched.Edf.cname = m.m_name -> ()
+  | _ -> failwith (what ^ " disagrees with the fold")
+
 let edf_matches_fold =
   let periods = [| Time.ms 2; Time.ms 3; Time.ms 5; Time.ms 10 |] in
   let slices = [| Time.us 400; Time.us 700; Time.ms 1 |] in
   QCheck.Test.make
-    ~name:"heap EDF picks the same client as the seed fold" ~count:300
+    ~name:"sorted-table EDF picks the same client as the seed fold"
+    ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map edf_op_print ops))
        QCheck.Gen.(list_size (int_range 1 80) edf_op_gen))
     (fun ops ->
       let edf = Sched.Edf.create () in
+      let fired = ref [] in
+      Sched.Edf.set_boundary_hook edf (fun c ~unused ~boundary ~grants ->
+          fired := (c.Sched.Edf.cname, unused, boundary, grants) :: !fired);
       let model = ref [] in
+      let removed = ref [] in
       let next = ref 0 in
       let now = ref Time.zero in
       let pick i l = List.nth l (i mod List.length l) in
       List.for_all
         (fun op ->
           (match op with
-          | Eadmit (p, s) ->
+          | Eadmit (p, s, extra) ->
             let period = periods.(p) and slice = slices.(s) in
             let name = Printf.sprintf "c%d" !next in
             incr next;
@@ -204,7 +231,7 @@ let edf_matches_fold =
               > 1.0 +. 1e-9
             in
             (match
-               Sched.Edf.admit edf ~name ~period ~slice ~now:!now ()
+               Sched.Edf.admit edf ~name ~period ~slice ~extra ~now:!now ()
              with
             | Ok _ when refused -> failwith "model refused, EDF admitted"
             | Error _ when not refused ->
@@ -212,7 +239,8 @@ let edf_matches_fold =
             | Ok _ ->
               model :=
                 !model
-                @ [ { m_name = name; m_period = period; m_slice = slice;
+                @ [ { m_name = name; m_period = period;
+                      m_slice = slice; m_extra = extra;
                       m_deadline = !now + period; m_remaining = slice } ]
             | Error _ -> ())
           | Eadvance d -> now := Time.add !now (Time.ms d)
@@ -229,22 +257,64 @@ let edf_matches_fold =
             | real ->
               let victim = pick i real in
               Sched.Edf.remove edf victim;
+              removed := victim :: !removed;
               model :=
                 List.filter
                   (fun m -> m.m_name <> victim.Sched.Edf.cname)
                   !model)
-          | Eselect ->
-            Sched.Edf.replenish_due edf ~now:!now;
-            List.iter (m_replenish !now) !model;
-            let real = Sched.Edf.select edf ~now:!now in
-            let expect = m_select !model in
-            let same =
-              match (real, expect) with
-              | None, None -> true
-              | Some r, Some m -> r.Sched.Edf.cname = m.m_name
-              | _ -> false
+          | Ereplenish_removed i -> (
+            (* Still accounted (and still observed by the hook), but
+               it must never come back into the pick order. *)
+            match !removed with
+            | [] -> ()
+            | gone ->
+              let c = pick i gone in
+              let d = c.Sched.Edf.deadline and p = c.Sched.Edf.period in
+              let expect = if d <= !now then ((!now - d) / p) + 1 else 0 in
+              fired := [];
+              if Sched.Edf.replenish edf ~now:!now c <> expect then
+                failwith "replenish of a removed client miscounted";
+              if List.length !fired <> min 1 expect then
+                failwith "hook fired wrongly for a removed client")
+          | Eselect mask ->
+            let due =
+              List.stable_sort
+                (fun a b -> compare a.m_deadline b.m_deadline)
+                (List.filter (fun m -> m.m_deadline <= !now) !model)
             in
-            if not same then failwith "select disagrees with the fold");
+            let expect_fired =
+              List.map
+                (fun m ->
+                  let grants =
+                    ((!now - m.m_deadline) / m.m_period) + 1
+                  in
+                  (m.m_name, max 0 m.m_remaining, m.m_deadline, grants))
+                due
+            in
+            fired := [];
+            Sched.Edf.replenish_due edf ~now:!now;
+            if List.rev !fired <> expect_fired then
+              failwith "boundary hook fired out of (deadline, id) order";
+            List.iter (m_replenish !now) !model;
+            let only r = not (blocked mask r.Sched.Edf.cname) in
+            let m_only m = not (blocked mask m.m_name) in
+            same_pick "select"
+              (Sched.Edf.select edf ~now:!now)
+              (m_pick (fun m -> m.m_remaining > 0) !model);
+            same_pick "select ~only"
+              (Sched.Edf.select ~only edf ~now:!now)
+              (m_pick (fun m -> m.m_remaining > 0 && m_only m) !model);
+            same_pick "select_slack ~only"
+              (Sched.Edf.select_slack ~only edf ~now:!now)
+              (m_pick (fun m -> m.m_extra && m_only m) !model);
+            same_pick "earliest ~only"
+              (Sched.Edf.earliest ~only edf)
+              (m_pick m_only !model);
+            let expect_next =
+              Option.map (fun m -> m.m_deadline) (m_pick (fun _ -> true) !model)
+            in
+            if Sched.Edf.next_deadline edf <> expect_next then
+              failwith "next_deadline disagrees with the fold");
           (* The member list itself must stay in admission order with
              identical accounting state. *)
           List.for_all2
@@ -254,6 +324,35 @@ let edf_matches_fold =
               && r.Sched.Edf.remaining = m.m_remaining)
             (Sched.Edf.clients edf) !model)
         ops)
+
+(* With nine in ten clients blocked, and blocked ones holding the
+   earlier deadlines, a pick passes over almost every client: it must
+   still allocate nothing beyond its option boxes, at any size. *)
+let edf_select_allocation () =
+  let words n =
+    let edf = Sched.Edf.create () in
+    let runnable_period = Time.ms 80 in
+    for i = 0 to n - 1 do
+      let period =
+        if i mod 10 = 0 then runnable_period else Time.ms (10 * (1 + (i mod 7)))
+      in
+      match
+        Sched.Edf.admit edf ~name:(string_of_int i) ~period
+          ~slice:(max 1 (period / (2 * n))) ~now:Time.zero ()
+      with
+      | Ok _ -> ()
+      | Error e -> failwith e
+    done;
+    let only c = c.Sched.Edf.period = runnable_period in
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sched.Edf.select ~only edf ~now:Time.zero)
+    done;
+    int_of_float (Gc.minor_words () -. before) / 1000
+  in
+  let small = words 8 and large = words 256 in
+  check "same words per pick at n=8 and n=256" small large;
+  checkb "at most 8 words per pick" true (large <= 8)
 
 let edf_tie_break () =
   let edf = Sched.Edf.create () in
@@ -474,7 +573,9 @@ let suite =
         Alcotest.test_case "deadline ties go to first admitted" `Quick
           edf_tie_break;
         Alcotest.test_case "replenish_due only touches due clients" `Quick
-          edf_replenish_due ] );
+          edf_replenish_due;
+        Alcotest.test_case "select ~only allocates a fixed few words" `Quick
+          edf_select_allocation ] );
     ( "scale.errors",
       [ Alcotest.test_case "admission overcommit payload" `Quick
           frames_overcommit_payload;
