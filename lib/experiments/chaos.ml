@@ -27,25 +27,6 @@ type result = {
 
 let page_blocks = Addr.page_size / 512
 
-(* Attribute a QoS violation to a domain by name (CPU/USD feeds label
-   streams "name" / "name.swap") or by domain id (frame-side feeds). *)
-let violations_for ~names ~ids =
-  List.length
-    (List.filter
-       (fun (_, v) ->
-         match v with
-         | Obs.Qos_audit.Cpu_undersupply { dom; _ } -> List.mem dom names
-         | Obs.Qos_audit.Usd_undersupply { stream; _ } ->
-           List.exists
-             (fun n ->
-               String.length stream >= String.length n
-               && String.sub stream 0 (String.length n) = n)
-             names
-         | Obs.Qos_audit.Mem_overcommit _ -> false
-         | Obs.Qos_audit.Revocation_overdue { dom; _ }
-         | Obs.Qos_audit.Guarantee_starved { dom } -> List.mem dom ids)
-       (Obs.Qos_audit.events ()))
-
 (* The victim's injection plan, scoped to its swap extent
    [(first, nblocks)]. Four permanently-bad page slots on the write
    path (enough spare slots are reserved to remap them all — losing a
@@ -215,7 +196,7 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
     && not (Frames.is_live doomed.System.frames_client)
   in
   let viol app name =
-    violations_for ~names:[ name ]
+    Harness.violations_for ~names:[ name ]
       ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
   in
   let c1 = viol clean1 "clean1" and c2 = viol clean2 "clean2" in
@@ -239,8 +220,6 @@ let ok r =
   && r.doomed_frames_reclaimed
   && r.tally.Inject.injected_errors > 0
 
-let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
-
 let print r =
   Report.heading "Chaos: QoS firewalling under injected faults";
   Printf.printf "seed %d, %.0f s injected + 2 s drain\n\n" r.seed
@@ -249,7 +228,7 @@ let print r =
     ~header:[ "domain"; "Mbit/s"; "accesses"; "violations" ]
     (List.map
        (fun d ->
-         [ d.dr_name; mbit_s d.dr_mbit; string_of_int d.dr_accesses;
+         [ d.dr_name; Report.mbit_s d.dr_mbit; string_of_int d.dr_accesses;
            string_of_int d.dr_violations ])
        (r.victim :: r.cleans));
   print_newline ();
@@ -300,8 +279,7 @@ let to_json r =
     Printf.sprintf
       "{\"name\": %S, \"mbit_s\": %s, \"accesses\": %d, \"violations\": %d}"
       d.dr_name
-      (if Float.is_nan d.dr_mbit then "null"
-       else Printf.sprintf "%.3f" d.dr_mbit)
+      (Report.jf3 d.dr_mbit)
       d.dr_accesses d.dr_violations
   in
   Buffer.add_string b

@@ -218,23 +218,6 @@ let recovered_part snap =
          else !keep)
   |> String.concat "\n"
 
-let violations_for ~names ~ids =
-  List.length
-    (List.filter
-       (fun (_, v) ->
-         match v with
-         | Obs.Qos_audit.Cpu_undersupply { dom; _ } -> List.mem dom names
-         | Obs.Qos_audit.Usd_undersupply { stream; _ } ->
-           List.exists
-             (fun n ->
-               String.length stream >= String.length n
-               && String.sub stream 0 (String.length n) = n)
-             names
-         | Obs.Qos_audit.Mem_overcommit _ -> false
-         | Obs.Qos_audit.Revocation_overdue { dom; _ }
-         | Obs.Qos_audit.Guarantee_starved { dom } -> List.mem dom ids)
-       (Obs.Qos_audit.events ()))
-
 let run ?(seed = 42) ?(rounds = 4) () =
   Obs.set_enabled true;
   Obs.reset ();
@@ -318,7 +301,7 @@ let run ?(seed = 42) ?(rounds = 4) () =
   (* Final drain, then the control group's verdict. *)
   run_for sys (Time.sec 1);
   let viol app name =
-    violations_for ~names:[ name ]
+    Harness.violations_for ~names:[ name ]
       ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
   in
   let rounds_r = List.rev !reports in

@@ -1,21 +1,10 @@
 open Engine
 open Core
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_fault_mean_us : float;
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type cell = {
   c_name : string;
   c_mode : string;
-  c_domains : domain_report list;
+  c_domains : Harness.domain_report list;
   c_fleet : Tier.Fleet.stats;
   c_health : Tier.Fleet.node_health list;
   c_books_balanced : bool;
@@ -39,28 +28,7 @@ type result = {
   deterministic : bool;
 }
 
-let patterns =
-  List.map
-    (fun n -> (n, Harness.pattern ~experiment:"erasure" n))
-    [ "seq"; "rand"; "hot" ]
-
-let fault_hist name =
-  match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
-  | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
-  | None -> (nan, nan)
-
-let start_app sys ~name ~pattern ?backing () =
-  (* six apps share the disk: 6 x 35/250 = 0.84 leaves admission room *)
-  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 35) () in
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos ~vm_bytes:(1024 * 1024) ~phys_frames:8
-      ~swap_bytes:(4 * 1024 * 1024) ?backing ~pattern ()
-  with
-  | Ok a -> a
-  | Error e ->
-      Harness.fail_verdict ~experiment:"erasure" ~context:[ ("app", name) ]
-        (Printf.sprintf "erasure: %s: %s" name e)
+let experiment = "erasure"
 
 (* A six-member ring so an Erasure {k = 4; m = 2} stripe spans every
    member, plus one standby that joins mid-run. Capacity is generous:
@@ -110,83 +78,37 @@ let build_fleet ~seed ~redundancy sys =
     (System.sim sys)
 
 let run_cell ~seed ~duration ~name ~mode ~redundancy =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
+  let sys = Harness.tier_system ~seed in
   let fleet = build_fleet ~seed ~redundancy sys in
   let stores = ref [] in
-  let disk_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let nm = "disk_" ^ pat in
-        (nm, pat, false, start_app sys ~name:nm ~pattern ()))
-      patterns
+  let apps =
+    Harness.start_mix ~experiment sys ~tier_prefix:"fleet_" (fun nm ->
+        Harness.fleet_backing ~experiment
+          ~context:[ ("cell", name); ("app", nm) ]
+          fleet
+          ~on_store:(fun s -> stores := s :: !stores)
+          nm)
   in
-  let tier_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let nm = "fleet_" ^ pat in
-        (* per-node links: 3 domains x 5/20 + the fleet's repair
-           client 2/20 = 0.85 of each link *)
-        let clients =
-          match
-            Tier.Fleet.admit_clients fleet ~name:(nm ^ ".tier")
-              ~period:(Time.ms 20) ~slice:(Time.ms 5) ~extra:true
-              ~laxity:(Time.of_ms_float 2.0) ()
-          with
-          | Ok cs -> cs
-          | Error e ->
-              Harness.fail_verdict ~experiment:"erasure"
-                ~context:[ ("cell", name); ("app", nm) ]
-                ("erasure: " ^ Usnet.Link.admit_error_message e)
-        in
-        let backing =
-          Harness.backing ~experiment:"erasure" "fleet:cache-pages=24"
-            [ Tier.Fleet.Fleet_tier
-                { fc_fleet = fleet; fc_clients = clients;
-                  fc_on_store = (fun s -> stores := s :: !stores) } ]
-        in
-        (nm, pat, true, start_app sys ~name:nm ~pattern ~backing ()))
-      patterns
-  in
-  let apps = disk_apps @ tier_apps in
   Inject.arm (plan_for ~seed ~duration);
-  System.run ~until:duration sys;
-  Inject.disarm ();
-  System.run ~until:(Time.add duration (Time.sec 2)) sys;
-  let viol nm app =
-    Chaos.violations_for ~names:[ nm ]
-      ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
-  in
-  let reports =
-    List.map
-      (fun (nm, pat, tiered, app) ->
-        let mean, p95 = fault_hist nm in
-        { dr_name = nm;
-          dr_pattern = pat;
-          dr_tiered = tiered;
-          dr_mbit = Workload.Paging_app.sustained_mbit app;
-          dr_accesses = Workload.Paging_app.measured_accesses app;
-          dr_fault_mean_us = mean;
-          dr_fault_p95_us = p95;
-          dr_violations = viol nm app })
-      apps
-  in
-  let bystanders, tiered = List.partition (fun r -> not r.dr_tiered) reports in
+  Harness.run_and_drain sys ~duration;
+  let domains = Harness.domain_reports apps in
   (* the disk durability floor the degraded path must beat: the
      bystanders' pooled fault-service latency over the same run *)
   let disk_floor =
     let count = ref 0 and sum = ref 0.0 in
     List.iter
-      (fun (nm, _, _, _) ->
-        match Obs.Metrics.hist_view ~label:nm "fault.latency_us" with
-        | Some v ->
-            count := !count + v.Obs.Metrics.hv_count;
-            sum := !sum +. (v.Obs.Metrics.hv_mean *. float_of_int v.Obs.Metrics.hv_count)
-        | None -> ())
-      disk_apps;
+      (fun d ->
+        if not d.Harness.dr_tiered then
+          match
+            Obs.Metrics.hist_view ~label:d.Harness.dr_name "fault.latency_us"
+          with
+          | Some v ->
+              count := !count + v.Obs.Metrics.hv_count;
+              sum :=
+                !sum
+                +. v.Obs.Metrics.hv_mean *. float_of_int v.Obs.Metrics.hv_count
+          | None -> ())
+      domains;
     if !count = 0 then nan else !sum /. float_of_int !count
   in
   let degraded_count, degraded_mean =
@@ -194,27 +116,10 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
     | Some v -> (v.Obs.Metrics.hv_count, v.Obs.Metrics.hv_mean)
     | None -> (0, nan)
   in
-  let store_totals =
-    List.fold_left
-      (fun a s ->
-        let b = Tier.Fleet.store_stats s in
-        let open Tier.Fleet in
-        { st_cache_hits = a.st_cache_hits + b.st_cache_hits;
-          st_fleet_hits = a.st_fleet_hits + b.st_fleet_hits;
-          st_fleet_misses = a.st_fleet_misses + b.st_fleet_misses;
-          st_promotes = a.st_promotes + b.st_promotes;
-          st_demotes = a.st_demotes + b.st_demotes;
-          st_write_fallbacks = a.st_write_fallbacks + b.st_write_fallbacks;
-          st_clean_skips = a.st_clean_skips + b.st_clean_skips;
-          st_lost_slots = a.st_lost_slots + b.st_lost_slots })
-      { Tier.Fleet.st_cache_hits = 0; st_fleet_hits = 0; st_fleet_misses = 0;
-        st_promotes = 0; st_demotes = 0; st_write_fallbacks = 0;
-        st_clean_skips = 0; st_lost_slots = 0 }
-      !stores
-  in
+  let store_totals = Harness.store_totals !stores in
   { c_name = name;
     c_mode = mode;
-    c_domains = reports;
+    c_domains = domains;
     c_fleet = Tier.Fleet.stats fleet;
     c_health = Tier.Fleet.health fleet;
     c_books_balanced = Tier.Fleet.books_balanced fleet;
@@ -224,32 +129,16 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
     c_degraded_count = degraded_count;
     c_degraded_mean_us = degraded_mean;
     c_disk_floor_us = disk_floor;
-    c_bystander_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 bystanders;
-    c_tiered_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 tiered;
+    c_bystander_violations = Harness.violations ~tiered:false domains;
+    c_tiered_violations = Harness.violations ~tiered:true domains;
     c_audit = Obs.Qos_audit.summarize () }
-
-let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
 
 let cell_to_json c =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "  {\"cell\": %S, \"mode\": %S,\n" c.c_name c.c_mode);
-  let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \
-       \"accesses\": %d, \"fault_mean_us\": %s, \"fault_p95_us\": %s, \
-       \"violations\": %d}"
-      d.dr_name d.dr_pattern d.dr_tiered
-      (if Float.is_nan d.dr_mbit then "null"
-       else Printf.sprintf "%.3f" d.dr_mbit)
-      d.dr_accesses (jf d.dr_fault_mean_us) (jf d.dr_fault_p95_us)
-      d.dr_violations
-  in
   Buffer.add_string b
-    (Printf.sprintf "   \"domains\": [%s],\n"
-       (String.concat ", " (List.map dom c.c_domains)));
+    (Printf.sprintf "   \"domains\": %s,\n" (Harness.domains_json c.c_domains));
   let f = c.c_fleet in
   Buffer.add_string b
     (Printf.sprintf
@@ -284,14 +173,14 @@ let cell_to_json c =
     (Printf.sprintf
        "   \"books_balanced\": %b, \"lost_slots\": %d, \
         \"storage_overhead\": %s,\n"
-       c.c_books_balanced c.c_lost_slots
-       (if Float.is_nan c.c_overhead then "null"
-        else Printf.sprintf "%.3f" c.c_overhead));
+       c.c_books_balanced c.c_lost_slots (Report.jf3 c.c_overhead));
   Buffer.add_string b
     (Printf.sprintf
        "   \"degraded_reads\": %d, \"degraded_mean_us\": %s, \
         \"disk_floor_us\": %s,\n"
-       c.c_degraded_count (jf c.c_degraded_mean_us) (jf c.c_disk_floor_us));
+       c.c_degraded_count
+       (Report.jf c.c_degraded_mean_us)
+       (Report.jf c.c_disk_floor_us));
   Buffer.add_string b
     (Printf.sprintf
        "   \"bystander_violations\": %d, \"tiered_violations\": %d}"
@@ -311,8 +200,7 @@ let to_json r =
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b
     (Printf.sprintf "  \"degraded_vs_disk_speedup\": %s,\n"
-       (if Float.is_nan r.speedup then "null"
-        else Printf.sprintf "%.1f" r.speedup));
+       (Report.jf r.speedup));
   Buffer.add_string b
     (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
   Buffer.add_string b "}";
@@ -341,10 +229,8 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
     in
     { seed; duration; replicated; erasure; speedup; deterministic = true }
   in
-  let r1 = one () in
-  let r2 = one () in
-  let canon r = to_json { r with deterministic = true } in
-  { r1 with deterministic = canon r1 = canon r2 }
+  let r, same = Harness.rerun one ~to_json in
+  { r with deterministic = same }
 
 let ok r =
   let base c =
@@ -365,22 +251,9 @@ let ok r =
   && r.speedup >= 50.0
   && r.deterministic
 
-let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
-let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
-
 let print_cell c =
   Printf.printf "--- cell %s (%s) ---\n" c.c_name c.c_mode;
-  Report.table
-    ~header:
-      [ "domain"; "pattern"; "backing"; "Mbit/s"; "accesses"; "fault us";
-        "p95 us"; "violations" ]
-    (List.map
-       (fun d ->
-         [ d.dr_name; d.dr_pattern; (if d.dr_tiered then "fleet" else "disk");
-           mbit_s d.dr_mbit; string_of_int d.dr_accesses;
-           us d.dr_fault_mean_us; us d.dr_fault_p95_us;
-           string_of_int d.dr_violations ])
-       c.c_domains);
+  Harness.domain_table ~tier:"fleet" c.c_domains;
   let f = c.c_fleet in
   Printf.printf "placement: %d stores = %d acks (%s)\n" f.Tier.Fleet.stores
     f.Tier.Fleet.acks
@@ -421,8 +294,8 @@ let print_cell c =
     "storage overhead: %.3fx; degraded reads: %d (mean %s us) vs disk floor \
      %s us\n"
     c.c_overhead c.c_degraded_count
-    (us c.c_degraded_mean_us)
-    (us c.c_disk_floor_us);
+    (Report.us c.c_degraded_mean_us)
+    (Report.us c.c_disk_floor_us);
   Printf.printf "committed pages lost: %d\n" c.c_lost_slots;
   Report.audit_section
     (Printf.sprintf "QoS audit (%s)" c.c_name)
@@ -483,117 +356,30 @@ type bench_result = {
   b_ok : bool;
 }
 
-let bench_capacity = 420
-
-(* One hotspot run against one backend; the fault-latency histogram is
-   split at T/2, where the wipe (if any) lands — node n0 loses its
-   contents between the two run legs, so with a six-node erasure
-   stripe every post-wipe read is degraded until repair catches up. *)
+(* One hotspot run against one backend, split at T/2 where the wipe
+   (if any) lands — node n0 loses its contents between the two run
+   legs, so with a six-node erasure stripe every post-wipe read is
+   degraded until repair catches up. *)
 let bench_cell ~seed ~duration ~name ~redundancy ?(repair = true) ~wipe () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
-  let fleet_and_nodes =
-    match redundancy with
-    | None -> None
-    | Some redundancy ->
-        let nodes =
-          List.init member_count (fun i ->
-              let nm = node_name i in
-              let link =
-                Usnet.Link.create ~name:nm ~params:Usnet.Net_params.gigabit
-                  (System.sim sys)
-              in
-              (nm, Tier.Remote_node.create ~capacity_pages:bench_capacity (),
-               link))
-        in
-        Some
-          ( Tier.Fleet.create ~seed ~redundancy ~repair ~nodes
-              (System.sim sys),
-            nodes )
+  let fleet redundancy sys =
+    let nodes = List.init member_count (fun i -> mk_node sys (node_name i)) in
+    let _, n0, _ = List.hd nodes in
+    (Tier.Fleet.create ~seed ~redundancy ~repair ~nodes (System.sim sys), n0)
   in
-  let store = ref None in
-  let backing =
-    match fleet_and_nodes with
-    | None -> None
-    | Some (fleet, _) ->
-        let clients =
-          match
-            Tier.Fleet.admit_clients fleet ~name:"bench.tier"
-              ~period:(Time.ms 20) ~slice:(Time.ms 5) ~extra:true
-              ~laxity:(Time.of_ms_float 2.0) ()
-          with
-          | Ok cs -> cs
-          | Error e ->
-              Harness.fail_verdict ~experiment:"erasure"
-                ~context:[ ("cell", name) ]
-                ("erasure: " ^ Usnet.Link.admit_error_message e)
-        in
-        Some
-          (Harness.backing ~experiment:"erasure" "fleet:cache-pages=24"
-             [ Tier.Fleet.Fleet_tier
-                 { fc_fleet = fleet; fc_clients = clients;
-                   fc_on_store = (fun s -> store := Some s) } ])
-  in
-  let app =
-    start_app sys ~name:"bench" ~pattern:Workload.Paging_app.Hotspot ?backing
-      ()
-  in
-  let half = Time.ns (Time.to_ns duration / 2) in
-  System.run ~until:half sys;
-  let snap () =
-    match Obs.Metrics.hist_view ~label:"bench" "fault.latency_us" with
-    | Some v -> (v.Obs.Metrics.hv_count, v.Obs.Metrics.hv_mean)
-    | None -> (0, nan)
-  in
-  let c1, m1 = snap () in
-  (match (wipe, fleet_and_nodes) with
-  | true, Some (_, nodes) ->
-      let _, remote, _ = List.nth nodes 0 in
-      Tier.Remote_node.wipe remote
-  | _ -> ());
-  System.run ~until:duration sys;
-  let c2, m2 = snap () in
-  let half2 =
-    if c2 > c1 then
-      ((m2 *. float_of_int c2) -. (m1 *. float_of_int c1))
-      /. float_of_int (c2 - c1)
-    else nan
-  in
-  let fs, overhead, nodes_health =
-    match fleet_and_nodes with
-    | Some (fleet, _) ->
-        ( Tier.Fleet.stats fleet,
-          Tier.Fleet.storage_overhead fleet,
-          Tier.Fleet.health fleet )
-    | None ->
-        ( { Tier.Fleet.stores = 0; acks = 0; replica_skips = 0;
-            replica_timeouts = 0; remote_fulls = 0; lost_primaries = 0;
-            failovers = 0; rebuilds = 0; disk_fallbacks = 0;
-            secondary_rebuilds = 0; lost_shards = 0; degraded_reads = 0;
-            reconstructions = 0; corrupt_shards = 0; migrations = 0;
-            node_joins = 0; node_retires = 0; retransmits = 0;
-            quarantines = 0; readmissions = 0; probes = 0;
-            probe_failures = 0; wipes_applied = 0; repair_rounds = 0 },
-          nan, [] )
-  in
-  let hits =
-    match !store with
-    | Some s -> (Tier.Fleet.store_stats s).Tier.Fleet.st_fleet_hits
-    | None -> 0
+  let h =
+    Harness.hot_run ~experiment ~cell:name ~seed ~duration
+      ~fleet:(Option.map fleet redundancy) ~wipe
   in
   { bc_name = name;
-    bc_accesses = Workload.Paging_app.measured_accesses app;
-    bc_mean_us = m2;
-    bc_half2_mean_us = half2;
-    bc_fleet_hits = hits;
-    bc_degraded = fs.Tier.Fleet.degraded_reads;
-    bc_reconstructions = fs.Tier.Fleet.reconstructions;
-    bc_rebuilds = fs.Tier.Fleet.rebuilds;
-    bc_overhead = overhead;
-    bc_nodes = nodes_health }
+    bc_accesses = h.Harness.h_accesses;
+    bc_mean_us = h.Harness.h_mean_us;
+    bc_half2_mean_us = h.Harness.h_half2_mean_us;
+    bc_fleet_hits = h.Harness.h_fleet_hits;
+    bc_degraded = h.Harness.h_fleet.Tier.Fleet.degraded_reads;
+    bc_reconstructions = h.Harness.h_fleet.Tier.Fleet.reconstructions;
+    bc_rebuilds = h.Harness.h_fleet.Tier.Fleet.rebuilds;
+    bc_overhead = h.Harness.h_overhead;
+    bc_nodes = h.Harness.h_health }
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let disk =
@@ -659,8 +445,8 @@ let bench_print r =
         "degraded"; "rebuilds"; "overhead" ]
     (List.map
        (fun c ->
-         [ c.bc_name; string_of_int c.bc_accesses; us c.bc_mean_us;
-           us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
+         [ c.bc_name; string_of_int c.bc_accesses; Report.us c.bc_mean_us;
+           Report.us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
            string_of_int c.bc_degraded; string_of_int c.bc_rebuilds;
            (if Float.is_nan c.bc_overhead then "-"
             else Printf.sprintf "%.2fx" c.bc_overhead) ])
@@ -692,10 +478,10 @@ let bench_to_json r =
       "{\"cell\": %S, \"accesses\": %d, \"mean_us\": %s, \"half2_mean_us\": \
        %s, \"fleet_hits\": %d, \"degraded_reads\": %d, \"reconstructions\": \
        %d, \"rebuilds\": %d, \"storage_overhead\": %s, \"nodes\": [%s]}"
-      c.bc_name c.bc_accesses (jf c.bc_mean_us) (jf c.bc_half2_mean_us)
+      c.bc_name c.bc_accesses (Report.jf c.bc_mean_us)
+      (Report.jf c.bc_half2_mean_us)
       c.bc_fleet_hits c.bc_degraded c.bc_reconstructions c.bc_rebuilds
-      (if Float.is_nan c.bc_overhead then "null"
-       else Printf.sprintf "%.3f" c.bc_overhead)
+      (Report.jf3 c.bc_overhead)
       (String.concat ", " (List.map node c.bc_nodes))
   in
   Buffer.add_string b
@@ -705,17 +491,14 @@ let bench_to_json r =
     (Printf.sprintf
        "  \"replicated_us\": %s, \"erasure_us\": %s, \"erasure_wipe_us\": \
         %s, \"disk_us\": %s,\n"
-       (jf r.b_repl_us) (jf r.b_ec_us) (jf r.b_ec_wipe_us) (jf r.b_disk_us));
+       (Report.jf r.b_repl_us) (Report.jf r.b_ec_us) (Report.jf r.b_ec_wipe_us)
+       (Report.jf r.b_disk_us));
   Buffer.add_string b
     (Printf.sprintf
        "  \"parity_price\": %s, \"erasure_overhead\": %s, \
         \"replicated_overhead\": %s,\n"
-       (if Float.is_nan r.b_parity_price then "null"
-        else Printf.sprintf "%.3f" r.b_parity_price)
-       (if Float.is_nan r.b_ec_overhead then "null"
-        else Printf.sprintf "%.3f" r.b_ec_overhead)
-       (if Float.is_nan r.b_repl_overhead then "null"
-        else Printf.sprintf "%.3f" r.b_repl_overhead));
+       (Report.jf3 r.b_parity_price) (Report.jf3 r.b_ec_overhead)
+       (Report.jf3 r.b_repl_overhead));
   Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" r.b_ok);
   Buffer.add_string b "}";
   Buffer.contents b

@@ -24,23 +24,12 @@
 
 open Engine
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;  (** sustained throughput ([nan] if warming) *)
-  dr_accesses : int;
-  dr_fault_mean_us : float;  (** mean fault-service latency, [nan] if none *)
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 (** One redundancy mode's full run: six domains, the fault plan, the
     drain, the books. *)
 type cell = {
   c_name : string;  (** ["replicated"] or ["erasure"] *)
   c_mode : string;  (** ["R=2"] or ["k=4,m=2"] *)
-  c_domains : domain_report list;
+  c_domains : Harness.domain_report list;
   c_fleet : Tier.Fleet.stats;
   c_health : Tier.Fleet.node_health list;
   c_books_balanced : bool;

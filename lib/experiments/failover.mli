@@ -18,21 +18,10 @@
 
 open Engine
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;  (** sustained throughput ([nan] if warming) *)
-  dr_accesses : int;
-  dr_fault_mean_us : float;  (** mean fault-service latency, [nan] if none *)
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
+  domains : Harness.domain_report list;
   fleet : Tier.Fleet.stats;
   health : Tier.Fleet.node_health list;
   books_balanced : bool;

@@ -1,21 +1,10 @@
 open Engine
 open Core
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_fault_mean_us : float;
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
+  domains : Harness.domain_report list;
   tier : Tier.Store.stats;
   books_balanced : bool;
   remote_used : int;
@@ -28,11 +17,6 @@ type result = {
   deterministic : bool;
   audit : Obs.Qos_audit.summary;
 }
-
-let patterns =
-  List.map
-    (fun n -> (n, Harness.pattern ~experiment:"remote" n))
-    [ "seq"; "rand"; "hot" ]
 
 let zero_stats =
   { Tier.Store.cache_hits = 0; remote_hits = 0; remote_misses = 0;
@@ -61,24 +45,24 @@ let add_stats a b =
       a.Tier.Store.link_lost_slots + b.Tier.Store.link_lost_slots;
     lost_slots = a.Tier.Store.lost_slots + b.Tier.Store.lost_slots }
 
-let fault_hist name =
-  match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
-  | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
-  | None -> (nan, nan)
-
-let start_app sys ~name ~pattern ?backing () =
-  (* six apps share the disk: 6 x 35/250 = 0.84 leaves admission room *)
-  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 35) () in
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos ~vm_bytes:(1024 * 1024) ~phys_frames:8
-      ~swap_bytes:(4 * 1024 * 1024) ?backing ~pattern ()
-  with
-  | Ok a -> a
-  (* Setup failwiths throughout: the experiment's fixed fleet admits
-     by construction; backing/pattern resolution is typed via the
-     registry (Harness.backing / Harness.pattern). *)
-  | Error e -> failwith (Printf.sprintf "remote: %s: %s" name e)
+(* Each tiered domain's own client on the tier's one link, under the
+   tiered domains' (5 ms / 20 ms, extra, 2 ms lax) guarantee, and its
+   store over the shared remote node. *)
+let tiered_backing ~link ~remote ~on_store name =
+  let client =
+    match
+      Usnet.Link.admit link ~name:(name ^ ".tier") ~period:(Time.ms 20)
+        ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
+    with
+    | Ok c -> c
+    | Error e ->
+        Harness.fail_verdict ~experiment:"remote" ~context:[ ("app", name) ]
+          ("remote: " ^ Usnet.Link.admit_error_message e)
+  in
+  Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
+    [ Tier.Store.Tiered
+        { tc_link = link; tc_client = client; tc_remote = remote;
+          tc_on_store = on_store } ]
 
 (* The link chaos plan: second-half packet loss and delay on the
    tier's link, nothing else — the disk stays clean so any bystander
@@ -95,80 +79,27 @@ let plan_for ~seed =
 let remote_capacity = 160
 
 let run_once ~seed ~duration =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
+  let sys = Harness.tier_system ~seed in
   let link =
     Usnet.Link.create ~name:"tier0" ~params:Usnet.Net_params.fast_ethernet
       (System.sim sys)
   in
   let remote = Tier.Remote_node.create ~capacity_pages:remote_capacity () in
   let stores = ref [] in
-  let disk_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let name = "disk_" ^ pat in
-        (name, pat, false, start_app sys ~name ~pattern ()))
-      patterns
+  let apps =
+    Harness.start_mix ~experiment:"remote" sys ~tier_prefix:"tier_"
+      (tiered_backing ~link ~remote ~on_store:(fun s -> stores := s :: !stores))
   in
-  let tier_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let name = "tier_" ^ pat in
-        let client =
-          match
-            Usnet.Link.admit link ~name:(name ^ ".tier") ~period:(Time.ms 20)
-              ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
-          with
-          | Ok c -> c
-          | Error e ->
-            failwith ("remote: " ^ Usnet.Link.admit_error_message e)
-        in
-        let backing =
-          Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
-            [ Tier.Store.Tiered
-                { tc_link = link; tc_client = client; tc_remote = remote;
-                  tc_on_store = (fun s -> stores := s :: !stores) } ]
-        in
-        (name, pat, true, start_app sys ~name ~pattern ~backing ()))
-      patterns
-  in
-  let apps = disk_apps @ tier_apps in
   (* Clean first half, then chaos on the link, then a quiet drain so
      in-flight retransmissions settle before the books are read. *)
-  let half = Time.ns (Time.to_ns duration / 2) in
-  System.run ~until:half sys;
+  System.run ~until:(Time.ns (Time.to_ns duration / 2)) sys;
   Inject.arm (plan_for ~seed);
-  System.run ~until:duration sys;
-  Inject.disarm ();
-  System.run ~until:(Time.add duration (Time.sec 2)) sys;
-  let viol name app =
-    Chaos.violations_for ~names:[ name ]
-      ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
-  in
-  let reports =
-    List.map
-      (fun (name, pat, tiered, app) ->
-        let mean, p95 = fault_hist name in
-        { dr_name = name;
-          dr_pattern = pat;
-          dr_tiered = tiered;
-          dr_mbit = Workload.Paging_app.sustained_mbit app;
-          dr_accesses = Workload.Paging_app.measured_accesses app;
-          dr_fault_mean_us = mean;
-          dr_fault_p95_us = p95;
-          dr_violations = viol name app })
-      apps
-  in
-  let bystanders, tiered =
-    List.partition (fun r -> not r.dr_tiered) reports
-  in
+  Harness.run_and_drain sys ~duration;
+  let domains = Harness.domain_reports apps in
   let tally = Inject.tally () in
   { seed;
     duration;
-    domains = reports;
+    domains;
     tier =
       List.fold_left
         (fun acc s -> add_stats acc (Tier.Store.stats s))
@@ -179,15 +110,10 @@ let run_once ~seed ~duration =
     link_drops = tally.Inject.link_drops;
     link_delays = tally.Inject.link_delays;
     link_utilisation = Usnet.Link.utilisation link;
-    bystander_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 bystanders;
-    tiered_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 tiered;
+    bystander_violations = Harness.violations ~tiered:false domains;
+    tiered_violations = Harness.violations ~tiered:true domains;
     deterministic = true;
     audit = Obs.Qos_audit.summarize () }
-
-let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
-let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
 
 let to_json r =
   let b = Buffer.create 1024 in
@@ -195,24 +121,8 @@ let to_json r =
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
   Buffer.add_string b
     (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \
-       \"accesses\": %d, \"fault_mean_us\": %s, \"fault_p95_us\": %s, \
-       \"violations\": %d}"
-      d.dr_name d.dr_pattern d.dr_tiered
-      (if Float.is_nan d.dr_mbit then "null"
-       else Printf.sprintf "%.3f" d.dr_mbit)
-      d.dr_accesses
-      (if Float.is_nan d.dr_fault_mean_us then "null"
-       else Printf.sprintf "%.1f" d.dr_fault_mean_us)
-      (if Float.is_nan d.dr_fault_p95_us then "null"
-       else Printf.sprintf "%.1f" d.dr_fault_p95_us)
-      d.dr_violations
-  in
   Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map dom r.domains)));
+    (Printf.sprintf "  \"domains\": %s,\n" (Harness.domains_json r.domains));
   let t = r.tier in
   Buffer.add_string b
     (Printf.sprintf
@@ -254,10 +164,8 @@ let to_json r =
    link chaos included — runs twice and the canonical reports must
    match byte-for-byte. *)
 let run ?(seed = 42) ?(duration = Time.sec 30) () =
-  let r1 = run_once ~seed ~duration in
-  let r2 = run_once ~seed ~duration in
-  let canon r = to_json { r with deterministic = true } in
-  { r1 with deterministic = canon r1 = canon r2 }
+  let r, same = Harness.rerun (fun () -> run_once ~seed ~duration) ~to_json in
+  { r with deterministic = same }
 
 let ok r =
   r.bystander_violations = 0 && r.books_balanced && r.link_drops > 0
@@ -270,17 +178,7 @@ let print r =
   Printf.printf
     "seed %d, %.0f s (link chaos in the second half) + 2 s drain\n\n" r.seed
     (Time.to_sec r.duration);
-  Report.table
-    ~header:
-      [ "domain"; "pattern"; "backing"; "Mbit/s"; "accesses"; "fault us";
-        "p95 us"; "violations" ]
-    (List.map
-       (fun d ->
-         [ d.dr_name; d.dr_pattern; (if d.dr_tiered then "tier" else "disk");
-           mbit_s d.dr_mbit; string_of_int d.dr_accesses;
-           us d.dr_fault_mean_us; us d.dr_fault_p95_us;
-           string_of_int d.dr_violations ])
-       r.domains);
+  Harness.domain_table ~tier:"tier" r.domains;
   print_newline ();
   let t = r.tier in
   Printf.printf
@@ -333,12 +231,8 @@ type bench_result = {
   b_hot_tiered_beats_disk : bool;
 }
 
-let bench_cell ~seed ~duration ~pat ~pattern ~tiered =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
+let bench_cell ~seed ~duration ~pat ~tiered =
+  let sys = Harness.tier_system ~seed in
   let store = ref None in
   let backing =
     if not tiered then None
@@ -347,26 +241,21 @@ let bench_cell ~seed ~duration ~pat ~pattern ~tiered =
         Usnet.Link.create ~name:"bench0"
           ~params:Usnet.Net_params.fast_ethernet (System.sim sys)
       in
-      let client =
-        match
-          Usnet.Link.admit link ~name:"bench.tier" ~period:(Time.ms 20)
-            ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
-        with
-        | Ok c -> c
-        | Error e -> failwith ("remote: " ^ Usnet.Link.admit_error_message e)
-      in
       let remote = Tier.Remote_node.create ~capacity_pages:128 () in
       Some
-        (Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
-           [ Tier.Store.Tiered
-               { tc_link = link; tc_client = client; tc_remote = remote;
-                 tc_on_store = (fun s -> store := Some s) } ])
+        (tiered_backing ~link ~remote
+           ~on_store:(fun s -> store := Some s)
+           "bench")
     end
   in
   let name = "bench" in
-  let app = start_app sys ~name ~pattern ?backing () in
+  let app =
+    Harness.start_app ~experiment:"remote" sys ~name
+      ~pattern:(Harness.pattern ~experiment:"remote" pat)
+      ?backing ()
+  in
   System.run ~until:duration sys;
-  let mean, p95 = fault_hist name in
+  let mean, p95 = Harness.fault_hist name in
   let stats =
     match !store with Some s -> Tier.Store.stats s | None -> zero_stats
   in
@@ -383,10 +272,10 @@ let bench_cell ~seed ~duration ~pat ~pattern ~tiered =
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let cells =
     List.concat_map
-      (fun (pat, pattern) ->
-        [ bench_cell ~seed ~duration ~pat ~pattern ~tiered:false;
-          bench_cell ~seed ~duration ~pat ~pattern ~tiered:true ])
-      patterns
+      (fun pat ->
+        [ bench_cell ~seed ~duration ~pat ~tiered:false;
+          bench_cell ~seed ~duration ~pat ~tiered:true ])
+      Harness.patterns
   in
   let find p tiered =
     List.find (fun c -> c.bc_pattern = p && c.bc_tiered = tiered) cells
@@ -417,8 +306,8 @@ let bench_print r =
     (List.map
        (fun c ->
          [ c.bc_pattern; (if c.bc_tiered then "tier" else "disk");
-           mbit_s c.bc_mbit; string_of_int c.bc_accesses;
-           us c.bc_fault_mean_us; us c.bc_fault_p95_us;
+           Report.mbit_s c.bc_mbit; string_of_int c.bc_accesses;
+           Report.us c.bc_fault_mean_us; Report.us c.bc_fault_p95_us;
            Printf.sprintf "%d/%d/%d" c.bc_cache_hits c.bc_remote_hits
              c.bc_remote_misses ])
        r.b_cells);
@@ -440,23 +329,16 @@ let bench_to_json r =
       "{\"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \"accesses\": %d, \
        \"fault_mean_us\": %s, \"fault_p95_us\": %s, \"cache_hits\": %d, \
        \"remote_hits\": %d, \"remote_misses\": %d}"
-      c.bc_pattern c.bc_tiered
-      (if Float.is_nan c.bc_mbit then "null"
-       else Printf.sprintf "%.3f" c.bc_mbit)
-      c.bc_accesses
-      (if Float.is_nan c.bc_fault_mean_us then "null"
-       else Printf.sprintf "%.1f" c.bc_fault_mean_us)
-      (if Float.is_nan c.bc_fault_p95_us then "null"
-       else Printf.sprintf "%.1f" c.bc_fault_p95_us)
+      c.bc_pattern c.bc_tiered (Report.jf3 c.bc_mbit) c.bc_accesses
+      (Report.jf c.bc_fault_mean_us)
+      (Report.jf c.bc_fault_p95_us)
       c.bc_cache_hits c.bc_remote_hits c.bc_remote_misses
   in
   Buffer.add_string b
     (Printf.sprintf "  \"cells\": [%s],\n"
        (String.concat ", " (List.map cell r.b_cells)));
   Buffer.add_string b
-    (Printf.sprintf "  \"hot_speedup\": %s,\n"
-       (if Float.is_nan r.b_hot_speedup then "null"
-        else Printf.sprintf "%.3f" r.b_hot_speedup));
+    (Printf.sprintf "  \"hot_speedup\": %s,\n" (Report.jf3 r.b_hot_speedup));
   Buffer.add_string b
     (Printf.sprintf "  \"hot_tiered_beats_disk\": %b\n"
        r.b_hot_tiered_beats_disk);

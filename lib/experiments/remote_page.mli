@@ -16,21 +16,10 @@
 
 open Engine
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_fault_mean_us : float;  (** mean fault-service latency, [nan] if none *)
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
+  domains : Harness.domain_report list;
   tier : Tier.Store.stats;  (** summed over the three tiered stores *)
   books_balanced : bool;
   remote_used : int;

@@ -79,6 +79,10 @@ let fopt = function None -> "n/a" | Some v -> Printf.sprintf "%.2f" v
 
 let f2 v = if Float.is_nan v then "nan" else Printf.sprintf "%.2f" v
 let f1 v = if Float.is_nan v then "nan" else Printf.sprintf "%.1f" v
+let mbit_s f = if Float.is_nan f then "warming" else f2 f
+let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
+let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
+let jf3 f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 
 let hist_table ?(unit_ = "us") rows =
   if rows = [] then print_endline "(no histogram data)"

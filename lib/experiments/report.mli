@@ -1,8 +1,5 @@
 (** Plain-text report helpers shared by the experiment printers. *)
 
-val rule : unit -> unit
-(** Print a horizontal rule. *)
-
 val heading : string -> unit
 
 val table : header:string list -> string list list -> unit
@@ -13,6 +10,23 @@ val fopt : float option -> string
 
 val f2 : float -> string
 val f1 : float -> string
+
+(** {1 NaN-aware cells}
+
+    A [nan] measurement means "nothing measured yet": a throughput
+    still warming up, a latency with no samples. *)
+
+val mbit_s : float -> string
+(** Table cell: ["warming"] for [nan], else two decimals. *)
+
+val us : float -> string
+(** Table cell: ["-"] for [nan], else whole microseconds. *)
+
+val jf : float -> string
+(** JSON number: [null] for [nan], else one decimal. *)
+
+val jf3 : float -> string
+(** JSON number: [null] for [nan], else three decimals. *)
 
 val chart :
   ?height:int -> ?width:int -> unit_label:string ->

@@ -173,8 +173,6 @@ let ok r =
   && r.refusal_available = r.frames_total - r.guaranteed_total
   && r.refusal_requested = r.refusal_available + 1
 
-let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
-
 let print r =
   Report.heading "Scale: many self-paging domains";
   Printf.printf "seed %d, %d domains, %.0f s\n\n" r.seed r.domains
@@ -185,7 +183,7 @@ let print r =
        (fun p ->
          [ p.pr_pattern; string_of_int p.pr_domains;
            string_of_int p.pr_measured; string_of_int p.pr_accesses;
-           mbit_s p.pr_mbit ])
+           Report.mbit_s p.pr_mbit ])
        r.patterns);
   print_newline ();
   Printf.printf
@@ -218,8 +216,7 @@ let to_json r =
       "{\"pattern\": %S, \"domains\": %d, \"measured\": %d, \"accesses\": \
        %d, \"mbit_s\": %s}"
       p.pr_pattern p.pr_domains p.pr_measured p.pr_accesses
-      (if Float.is_nan p.pr_mbit then "null"
-       else Printf.sprintf "%.3f" p.pr_mbit)
+      (Report.jf3 p.pr_mbit)
   in
   Buffer.add_string b
     (Printf.sprintf "  \"patterns\": [%s],\n"

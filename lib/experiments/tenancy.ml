@@ -87,23 +87,6 @@ let reg_guarantee = tpl_pages + seg_pages + 4
 let zpool_optimistic = 16
 let zpool_budget = 12
 
-let violations_for ~names ~ids =
-  List.length
-    (List.filter
-       (fun (_, v) ->
-         match v with
-         | Obs.Qos_audit.Cpu_undersupply { dom; _ } -> List.mem dom names
-         | Obs.Qos_audit.Usd_undersupply { stream; _ } ->
-           List.exists
-             (fun n ->
-               String.length stream >= String.length n
-               && String.sub stream 0 (String.length n) = n)
-             names
-         | Obs.Qos_audit.Mem_overcommit _ -> false
-         | Obs.Qos_audit.Revocation_overdue { dom; _ }
-         | Obs.Qos_audit.Guarantee_starved { dom } -> List.mem dom ids)
-       (Obs.Qos_audit.events ()))
-
 (* Merge the per-tenant fault-latency histograms (labels [t...]) into
    one (count, mean, p95-upper-bound) triple. *)
 let tenant_fault_stats () =
@@ -416,7 +399,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
   let fault_count, fault_mean_us, fault_p95_us = tenant_fault_stats () in
   let audit = Obs.Qos_audit.summarize () in
   let bystander_violations =
-    violations_for
+    Harness.violations_for
       ~names:[ "bystander0"; "bystander1" ]
       ~ids:
         (List.map
@@ -544,7 +527,6 @@ let print r =
         the kills, bystanders untouched"
      else "VERDICT: FAILED")
 
-let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 
 let to_json r =
   let b = Buffer.create 1024 in
@@ -562,7 +544,8 @@ let to_json r =
   line
     "  \"cow\": {\"shared_faults\": %d, \"breaks\": %d, \"break_mean_us\": \
      %s, \"break_p95_us\": %s},\n"
-    r.cow_shared_faults r.cow_breaks (jf r.break_mean_us) (jf r.break_p95_us);
+    r.cow_shared_faults r.cow_breaks (Report.jf3 r.break_mean_us)
+    (Report.jf3 r.break_p95_us);
   line
     "  \"seg\": {\"fills\": %d, \"hits\": %d, \"resident\": %d},\n"
     r.seg_fills r.seg_hits r.seg_resident;
@@ -579,7 +562,7 @@ let to_json r =
     "  \"residency\": {\"resident_pages\": %d, \"tenant_frames\": %d, \
      \"shared_frames\": %d, \"pages_per_frame\": %s},\n"
     r.resident_pages r.tenant_frames r.shared_frames
-    (jf r.frames_per_content);
+    (Report.jf3 r.frames_per_content);
   (match r.zpool_stats with
   | None -> line "  \"zram_tier\": null,\n"
   | Some z ->
@@ -590,11 +573,13 @@ let to_json r =
        \"miss_mean_us\": %s},\n"
       r.zram_hits r.zram_misses r.zpool_frames z.Share.Zpool.z_stored
       z.Share.Zpool.z_incompressible z.Share.Zpool.z_overflow
-      z.Share.Zpool.z_shed_frames r.zpool_bursts (jf r.zram_hit_mean_us)
-      (jf r.zram_miss_mean_us));
+      z.Share.Zpool.z_shed_frames r.zpool_bursts
+      (Report.jf3 r.zram_hit_mean_us)
+      (Report.jf3 r.zram_miss_mean_us));
   line
     "  \"faults\": {\"count\": %d, \"mean_us\": %s, \"p95_us\": %s},\n"
-    r.fault_count (jf r.fault_mean_us) (jf r.fault_p95_us);
+    r.fault_count (Report.jf3 r.fault_mean_us)
+    (Report.jf3 r.fault_p95_us);
   line
     "  \"frames\": {\"total\": %d, \"free\": %d, \"held\": %d, \"owned\": \
      %d, \"books_balanced\": %b},\n"

@@ -29,12 +29,6 @@ val make : k:int -> m:int -> code
 val k : code -> int
 (** Data shards per page. *)
 
-val m : code -> int
-(** Parity shards per page. *)
-
-val width : code -> int
-(** [k + m] — shards placed per page, on distinct nodes. *)
-
 val shard_length : code -> page_bytes:int -> int
 (** Bytes per shard for a page of [page_bytes]: [ceil (page_bytes / k)]
     (the final data shard is zero-padded). *)

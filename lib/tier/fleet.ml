@@ -27,8 +27,7 @@ type node = {
 type t = {
   sim : Sim.t;
   seed : int;
-  mode : redundancy;
-  ec : Ec.code option; (* Some iff mode is Erasure *)
+  ec : Ec.code option; (* Some iff the redundancy is Erasure *)
   width : int; (* entries placed per page: R, or k + m *)
   quarantine_after : int;
   probe_period : Time.span;
@@ -110,28 +109,19 @@ type node_health = {
   nh_failovers : int;
 }
 
-type store = {
+(* One domain's lower layer under its {!Cache} front end: its client
+   on every node link and the eviction books the front end cannot
+   see. *)
+type view = {
   fl : t;
-  mode : Store.mode;
   label : string;
-  swap : Usbs.Sfs.swapfile;
   clients : Usnet.Link.client array; (* one per node, node order *)
   owner : string;
-  cache_cap : int;
-  lru : int Ilist.t; (* front = least recently used *)
-  lnodes : (int, int Ilist.node) Hashtbl.t;
-  evicting : (int, unit) Hashtbl.t;
-  disk_valid : bool array;
-  dead : bool array;
-  mutable sx_cache_hits : int;
-  mutable sx_fleet_hits : int;
-  mutable sx_fleet_misses : int;
-  mutable sx_promotes : int;
-  mutable sx_demotes : int;
   mutable sx_write_fallbacks : int;
   mutable sx_clean_skips : int;
-  mutable sx_lost_slots : int;
 }
+
+type store = { cache : Cache.t; view : view }
 
 type store_stats = {
   st_cache_hits : int;
@@ -146,8 +136,8 @@ type store_stats = {
 
 let metric name = if !Obs.enabled then Obs.Metrics.inc ("fleet." ^ name)
 
-let smetric st name =
-  if !Obs.enabled then Obs.Metrics.inc ~label:st.owner ("fleet." ^ name)
+let smetric v name =
+  if !Obs.enabled then Obs.Metrics.inc ~label:v.owner ("fleet." ^ name)
 
 let node_gauges nd =
   if !Obs.enabled then begin
@@ -209,8 +199,6 @@ let placement t ~owner ~slot =
   Array.of_list
     (List.filteri (fun n _ -> n < t.width) scored |> List.map snd)
 
-let node_names t = Array.map (fun nd -> nd.nd_name) t.nodes
-
 let member_names t =
   Array.of_list
     (Array.to_list t.nodes
@@ -219,9 +207,6 @@ let member_names t =
 
 let member_count t =
   Array.fold_left (fun n nd -> if nd.nd_member then n + 1 else n) 0 t.nodes
-
-let redundancy (t : t) = t.mode
-let stripe_width t = t.width
 
 (* ------------------------------------------------------------------ *)
 (* Node health and membership                                          *)
@@ -684,7 +669,6 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
   let t =
     { sim;
       seed;
-      mode = redundancy;
       ec;
       width;
       quarantine_after;
@@ -754,185 +738,92 @@ let admit_clients t ~name ~period ~slice ?extra ?queue_depth ?laxity () =
   in
   go 0
 
-let attach ?(mode = Store.Write_through) ?(cache_pages = 32)
-    ?(label = "fleet") t ~clients ~swap () =
-  if cache_pages < 1 then invalid_arg "Fleet.attach: cache_pages must be >= 1";
-  if Array.length clients <> Array.length t.nodes then
-    invalid_arg "Fleet.attach: need one admitted client per node";
-  let cap = Usbs.Sfs.page_capacity swap in
-  { fl = t;
-    mode;
-    label;
-    swap;
-    clients;
-    owner = Usbs.Sfs.swap_name swap;
-    cache_cap = cache_pages;
-    lru = Ilist.create ();
-    lnodes = Hashtbl.create 64;
-    evicting = Hashtbl.create 8;
-    disk_valid = Array.make (max 1 cap) true;
-    dead = Array.make (max 1 cap) false;
-    sx_cache_hits = 0;
-    sx_fleet_hits = 0;
-    sx_fleet_misses = 0;
-    sx_promotes = 0;
-    sx_demotes = 0;
-    sx_write_fallbacks = 0;
-    sx_clean_skips = 0;
-    sx_lost_slots = 0 }
-
 (* ------------------------------------------------------------------ *)
-(* Local RAM tier (LRU over slot indices, as in Store)                 *)
+(* One domain's lower layer                                            *)
 
-let cached st s = Hashtbl.mem st.lnodes s
-
-let touch st s =
-  match Hashtbl.find_opt st.lnodes s with
-  | Some n -> Ilist.move_back st.lru n
-  | None -> ()
-
-let drop_cache st s =
-  match Hashtbl.find_opt st.lnodes s with
-  | Some n ->
-      Ilist.remove st.lru n;
-      Hashtbl.remove st.lnodes s
-  | None -> ()
-
-let tracked st s = Hashtbl.mem st.fl.pages (st.owner, s)
+let tracked v s = Hashtbl.mem v.fl.pages (v.owner, s)
 
 (* Fresh contents for a slot: every stored entry is stale. The drops
    are metadata at the nodes; the placement-book entry goes with
    them, so the fleet never serves the old bytes. *)
-let drop_fleet st s =
-  match Hashtbl.find_opt st.fl.pages (st.owner, s) with
+let drop_fleet v s =
+  match Hashtbl.find_opt v.fl.pages (v.owner, s) with
   | Some reps ->
       Array.iteri
         (fun p i ->
-          Remote_node.drop st.fl.nodes.(i).nd_remote
-            ~shard:(shard_of st.fl p) ~owner:st.owner ~slot:s)
+          Remote_node.drop v.fl.nodes.(i).nd_remote
+            ~shard:(shard_of v.fl p) ~owner:v.owner ~slot:s)
         reps;
-      Hashtbl.remove st.fl.pages (st.owner, s)
+      Hashtbl.remove v.fl.pages (v.owner, s)
   | None -> ()
 
-(* Same duty as Store.disk_write_slot: a dirty page no node accepted
-   lands on the disk; if the disk eats the write too the fleet held
-   the last copy and the slot is dead. *)
-let disk_write_slot st s =
-  match Usbs.Sfs.write_page st.swap ~page_index:s with
-  | Ok () -> st.disk_valid.(s) <- true
-  | Error (`Lost_pages _) ->
-      Inject.note_killed "fleet.demote";
-      st.dead.(s) <- true;
-      st.sx_lost_slots <- st.sx_lost_slots + 1
-  | Error (`Retired | `Crashed) -> ()
-
-(* Push one evicted slot to its stripe. Inclusive with the fleet: a
-   slot already in the placement book just leaves the cache.
-   Quarantined nodes are skipped (repair rebuilds their entries); the
-   eviction succeeds if enough entries were acked to recover the page
-   — one copy, or k shards. An under-placed erasure stripe is
-   useless, so its acked shards are taken back before falling to the
-   disk floor (no leaked node entries). *)
-let demote st s =
-  if (not (tracked st s)) && not st.dead.(s) then begin
-    let t = st.fl in
-    poll_faults t;
-    let dirty = not st.disk_valid.(s) in
-    let reps = placement t ~owner:st.owner ~slot:s in
-    let acked = Array.make (Array.length reps) false in
-    let placed = ref 0 in
-    let push_one p =
-      let i = reps.(p) in
-      let nd = t.nodes.(i) in
-      if nd.nd_quarantined then t.s_replica_skips <- t.s_replica_skips + 1
-      else if not (Remote_node.has_room nd.nd_remote) then begin
-        (* known-full before any byte moves, as in Store *)
-        t.s_remote_fulls <- t.s_remote_fulls + 1;
-        metric "remote_full"
-      end
-      else
-        match
-          push_page t nd st.clients.(i) ~retries:t.link_retries
-            ~shard:(shard_of t p) ~owner:st.owner ~slot:s
-        with
-        | `Acked ->
-            incr placed;
-            acked.(p) <- true;
-            t.s_stores <- t.s_stores + 1;
-            metric "store"
-        | `Full ->
-            t.s_remote_fulls <- t.s_remote_fulls + 1;
-            metric "remote_full"
-        | `Timeout -> t.s_replica_timeouts <- t.s_replica_timeouts + 1
-    in
-    in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
-    if !placed >= min_placed t then begin
-      Hashtbl.replace t.pages (st.owner, s) reps;
-      st.sx_demotes <- st.sx_demotes + 1
+(* Push one evicted slot to its stripe. Quarantined nodes are skipped
+   (repair rebuilds their entries); the eviction succeeds if enough
+   entries were acked to recover the page — one copy, or k shards. An
+   under-placed erasure stripe is useless, so its acked shards are
+   taken back before the front end falls to the disk floor (no leaked
+   node entries). *)
+let demote v s ~dirty =
+  let t = v.fl in
+  poll_faults t;
+  let reps = placement t ~owner:v.owner ~slot:s in
+  let acked = Array.make (Array.length reps) false in
+  let placed = ref 0 in
+  let push_one p =
+    let i = reps.(p) in
+    let nd = t.nodes.(i) in
+    if nd.nd_quarantined then t.s_replica_skips <- t.s_replica_skips + 1
+    else if not (Remote_node.has_room nd.nd_remote) then begin
+      (* known-full before any byte moves, as in Store *)
+      t.s_remote_fulls <- t.s_remote_fulls + 1;
+      metric "remote_full"
     end
-    else begin
-      Array.iteri
-        (fun p i ->
-          if acked.(p) then
-            Remote_node.drop t.nodes.(i).nd_remote ~shard:(shard_of t p)
-              ~owner:st.owner ~slot:s)
-        reps;
-      if dirty then begin
-        st.sx_write_fallbacks <- st.sx_write_fallbacks + 1;
-        disk_write_slot st s
-      end
-      else st.sx_clean_skips <- st.sx_clean_skips + 1
-    end
+    else
+      match
+        push_page t nd v.clients.(i) ~retries:t.link_retries
+          ~shard:(shard_of t p) ~owner:v.owner ~slot:s
+      with
+      | `Acked ->
+          incr placed;
+          acked.(p) <- true;
+          t.s_stores <- t.s_stores + 1;
+          metric "store"
+      | `Full ->
+          t.s_remote_fulls <- t.s_remote_fulls + 1;
+          metric "remote_full"
+      | `Timeout -> t.s_replica_timeouts <- t.s_replica_timeouts + 1
+  in
+  in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
+  if !placed >= min_placed t then begin
+    Hashtbl.replace t.pages (v.owner, s) reps;
+    true
   end
-
-let rec shrink st =
-  if Hashtbl.length st.lnodes > st.cache_cap then begin
-    let victim =
-      Ilist.fold
-        (fun acc s ->
-          match acc with
-          | Some _ -> acc
-          | None -> if Hashtbl.mem st.evicting s then None else Some s)
-        None st.lru
-    in
-    match victim with
-    | None -> ()
-    | Some s ->
-        Hashtbl.replace st.evicting s ();
-        demote st s;
-        Hashtbl.remove st.evicting s;
-        drop_cache st s;
-        shrink st
+  else begin
+    Array.iteri
+      (fun p i ->
+        if acked.(p) then
+          Remote_node.drop t.nodes.(i).nd_remote ~shard:(shard_of t p)
+            ~owner:v.owner ~slot:s)
+      reps;
+    if dirty then v.sx_write_fallbacks <- v.sx_write_fallbacks + 1
+    else v.sx_clean_skips <- v.sx_clean_skips + 1;
+    false
   end
-
-let insert_cache st s =
-  if not st.dead.(s) then begin
-    if cached st s then touch st s
-    else begin
-      let n = Ilist.make_node s in
-      Hashtbl.replace st.lnodes s n;
-      Ilist.push_back st.lru n;
-      shrink st
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Reads                                                               *)
 
 (* Serve one tracked slot from a replicated stripe: primary first,
    then the surviving copies in placement order. Exactly one of
    failover/disk-fallback answers a lost primary here (rebuilds are
    the repair process's entry). *)
-let fetch_replicated st s reps =
-  let t = st.fl in
+let fetch_replicated v s reps =
+  let t = v.fl in
   let try_node p =
     let i = reps.(p) in
     let nd = t.nodes.(i) in
     if nd.nd_quarantined then `Skip
     else
       match
-        fetch_shard t nd st.clients.(i) ~retries:t.link_retries ~shard:0
-          ~owner:st.owner ~slot:s
+        fetch_shard t nd v.clients.(i) ~retries:t.link_retries ~shard:0
+          ~owner:v.owner ~slot:s
       with
       | `Ok ->
           nd.nd_serves <- nd.nd_serves + 1;
@@ -967,8 +858,8 @@ let fetch_replicated st s reps =
    reconstruction, never the disk floor — and books each observed
    loss as a reconstruction. A read that cannot gather k returns the
    observation count for the disk-fallback side of the ledger. *)
-let fetch_erasure st s reps c =
-  let t = st.fl in
+let fetch_erasure v s reps c =
+  let t = v.fl in
   let k = Ec.k c in
   let t0 = Time.to_us (Sim.now t.sim) in
   let got = ref 0 and losses = ref 0 in
@@ -981,8 +872,8 @@ let fetch_erasure st s reps c =
     end
     else
       match
-        fetch_shard t nd st.clients.(i) ~retries:t.link_retries ~shard:p
-          ~owner:st.owner ~slot:s
+        fetch_shard t nd v.clients.(i) ~retries:t.link_retries ~shard:p
+          ~owner:v.owner ~slot:s
       with
       | `Ok ->
           incr got;
@@ -1011,175 +902,59 @@ let fetch_erasure st s reps c =
       t.s_reconstructions <- t.s_reconstructions + !losses;
       metric "degraded_read";
       if !Obs.enabled then
-        Obs.Metrics.observe ~label:st.label "fleet.degraded_us"
+        Obs.Metrics.observe ~label:v.label "fleet.degraded_us"
           (Time.to_us (Sim.now t.sim) -. t0)
     end;
     `Served
   end
   else `All_lost !losses
 
-let fetch_fleet st s =
-  let t = st.fl in
+(* A read of a tracked slot. Remote faults feed the repair queue's
+   hot-first ordering; a page no stripe could serve books its observed
+   losses as disk fallbacks, whether or not the disk holds a copy. *)
+let fetch v s ~on_disk:_ =
+  let t = v.fl in
+  if !Obs.enabled then Obs.Heat.note ~owner:v.owner ~slot:s;
   poll_faults t;
-  let reps = Hashtbl.find t.pages (st.owner, s) in
-  match t.ec with
-  | None -> fetch_replicated st s reps
-  | Some c -> fetch_erasure st s reps c
-
-let read_pages st ~page_index ~npages =
-  let lost = ref [] in
-  let fatal = ref None in
-  let run_start = ref 0 and run_len = ref 0 in
-  (* coalesce consecutive disk-served slots into one SFS transaction *)
-  let flush_run () =
-    if !run_len > 0 then begin
-      (match
-         Usbs.Sfs.read_pages st.swap ~page_index:!run_start ~npages:!run_len
-       with
-      | Ok () ->
-          for s = !run_start to !run_start + !run_len - 1 do
-            insert_cache st s
-          done
-      | Error (`Lost_pages l) ->
-          for s = !run_start to !run_start + !run_len - 1 do
-            if List.mem s l then lost := s :: !lost else insert_cache st s
-          done
-      | Error ((`Retired | `Crashed) as e) -> fatal := Some e);
-      run_len := 0
-    end
-  in
-  let from_disk s =
-    if !run_len = 0 then begin
-      run_start := s;
-      run_len := 1
-    end
-    else run_len := !run_len + 1
-  in
-  let i = ref page_index in
-  while !fatal = None && !i < page_index + npages do
-    let s = !i in
-    if st.dead.(s) then begin
-      flush_run ();
-      lost := s :: !lost
-    end
-    else if cached st s then begin
-      flush_run ();
-      touch st s;
-      st.sx_cache_hits <- st.sx_cache_hits + 1;
-      smetric st "cache_hit"
-    end
-    else if tracked st s then begin
-      flush_run ();
-      (* remote faults feed the repair queue's hot-first ordering *)
-      if !Obs.enabled then Obs.Heat.note ~owner:st.owner ~slot:s;
-      match fetch_fleet st s with
-      | `Served ->
-          st.sx_fleet_hits <- st.sx_fleet_hits + 1;
-          smetric st "hit";
-          st.sx_promotes <- st.sx_promotes + 1;
-          (* inclusive: the nodes keep their entries *)
-          insert_cache st s
-      | `All_lost n ->
-          st.fl.s_disk_fallbacks <- st.fl.s_disk_fallbacks + n;
-          smetric st "disk_fallback";
-          if st.disk_valid.(s) then begin
-            from_disk s;
-            flush_run ()
-          end
-          else begin
-            st.sx_lost_slots <- st.sx_lost_slots + 1;
-            st.dead.(s) <- true;
-            lost := s :: !lost
-          end
-    end
-    else begin
-      st.sx_fleet_misses <- st.sx_fleet_misses + 1;
-      from_disk s
-    end;
-    incr i
-  done;
-  flush_run ();
-  match !fatal with
-  | Some (`Retired | `Crashed) as e -> Error (Option.get e)
-  | None ->
-      if !lost = [] then Ok () else Error (`Lost_pages (List.rev !lost))
-
-(* ------------------------------------------------------------------ *)
-(* Writes (mirrors Store: disk is the durability floor)                *)
-
-let overwrite st s ~disk =
-  st.dead.(s) <- false;
-  drop_fleet st s;
-  st.disk_valid.(s) <- disk;
-  insert_cache st s
-
-let write_range_through st ~page_index ~npages =
-  match Usbs.Sfs.write_pages st.swap ~page_index ~npages with
-  | Ok () ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite st s ~disk:true
-      done;
-      Ok ()
-  | Error (`Lost_pages l) as e ->
-      for s = page_index to page_index + npages - 1 do
-        if List.mem s l then begin
-          drop_cache st s;
-          drop_fleet st s;
-          st.dead.(s) <- true
-        end
-        else overwrite st s ~disk:true
-      done;
-      e
-  | Error (`Retired | `Crashed) as e -> e
-
-let write_pages st ~page_index ~npages =
-  match st.mode with
-  | Store.Write_through -> write_range_through st ~page_index ~npages
-  | Store.Write_back ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite st s ~disk:false
-      done;
-      Ok ()
-
-let write_page st ~page_index = write_pages st ~page_index ~npages:1
-
-let write_pages_commit st ~page_index ~npages ~pages ~retire =
+  let reps = Hashtbl.find t.pages (v.owner, s) in
   match
-    Usbs.Sfs.write_pages_commit st.swap ~page_index ~npages ~pages ~retire
+    match t.ec with
+    | None -> fetch_replicated v s reps
+    | Some c -> fetch_erasure v s reps c
   with
-  | Ok () ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite st s ~disk:true
-      done;
-      Ok ()
-  | Error (`Lost_pages l) as e ->
-      for s = page_index to page_index + npages - 1 do
-        if List.mem s l then begin
-          drop_cache st s;
-          drop_fleet st s;
-          st.dead.(s) <- true
-        end
-        else overwrite st s ~disk:true
-      done;
-      e
-  | Error (`Retired | `Crashed) as e -> e
+  | `Served -> true
+  | `All_lost n ->
+      t.s_disk_fallbacks <- t.s_disk_fallbacks + n;
+      smetric v "disk_fallback";
+      false
 
-let backing st =
-  { Backing.label = st.label;
-    page_capacity = (fun () -> Usbs.Sfs.page_capacity st.swap);
-    journaled = (fun () -> Usbs.Sfs.swap_journaled st.swap);
-    read_pages =
-      (fun ~page_index ~npages -> read_pages st ~page_index ~npages);
-    write_page = (fun ~page_index -> write_page st ~page_index);
-    write_pages =
-      (fun ~page_index ~npages -> write_pages st ~page_index ~npages);
-    write_pages_commit =
-      (fun ~page_index ~npages ~pages ~retire ->
-        write_pages_commit st ~page_index ~npages ~pages ~retire);
-    slot_committed = (fun slot -> Usbs.Sfs.slot_committed st.swap slot);
-    extent =
-      (fun () ->
-        (Usbs.Sfs.extent_start st.swap, Usbs.Sfs.extent_blocks st.swap)) }
+let lower v =
+  { Cache.holds = tracked v;
+    fetch = fetch v;
+    demote = demote v;
+    forget = drop_fleet v;
+    note =
+      (function
+      | Cache.Cache_hit -> smetric v "cache_hit"
+      | Cache.Promote -> smetric v "hit"
+      | Cache.Miss | Cache.Demote -> ()
+      | Cache.Floor_lost -> Inject.note_killed "fleet.demote") }
+
+let attach ?(mode = Cache.Write_through) ?(cache_pages = 32)
+    ?(label = "fleet") t ~clients ~swap () =
+  if Array.length clients <> Array.length t.nodes then
+    invalid_arg "Fleet.attach: need one admitted client per node";
+  let view =
+    { fl = t;
+      label;
+      clients;
+      owner = Usbs.Sfs.swap_name swap;
+      sx_write_fallbacks = 0;
+      sx_clean_skips = 0 }
+  in
+  { cache = Cache.create ~mode ~cache_pages ~label ~swap (lower view); view }
+
+let backing st = Cache.backing st.cache
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
@@ -1227,15 +1002,16 @@ let health t =
            nh_failovers = nd.nd_failovers })
        t.nodes)
 
-let store_stats st =
-  { st_cache_hits = st.sx_cache_hits;
-    st_fleet_hits = st.sx_fleet_hits;
-    st_fleet_misses = st.sx_fleet_misses;
-    st_promotes = st.sx_promotes;
-    st_demotes = st.sx_demotes;
-    st_write_fallbacks = st.sx_write_fallbacks;
-    st_clean_skips = st.sx_clean_skips;
-    st_lost_slots = st.sx_lost_slots }
+let store_stats { cache; view = v } =
+  let c = Cache.counters cache in
+  { st_cache_hits = c.Cache.cache_hits;
+    st_fleet_hits = c.Cache.hits;
+    st_fleet_misses = c.Cache.misses;
+    st_promotes = c.Cache.hits;
+    st_demotes = c.Cache.demotes;
+    st_write_fallbacks = v.sx_write_fallbacks;
+    st_clean_skips = v.sx_clean_skips;
+    st_lost_slots = c.Cache.lost_slots }
 
 (* Bytes held across the fleet relative to the pages tracked: an
    entry is a whole page (replicated) or 1/k of one (erasure), so
@@ -1278,37 +1054,15 @@ type fleet_cap = {
 type Backing.cap += Fleet_tier of fleet_cap
 
 let () =
-  Registry.register_exn Backing.axis
-    (Registry.manifest ~name:"fleet"
-       ~doc:
-         "replicated / erasure-coded remote-memory fleet over the disk \
-          (Tier.Fleet)"
-       ~params:
-         [ { Registry.p_name = "cache-pages";
-             p_doc = "local RAM cache size, pages";
-             p_kind = Registry.Int 32 };
-           { Registry.p_name = "label";
-             p_doc = "store label for metrics and driver names";
-             p_kind = Registry.String (Some "fleet") } ]
-       ~default:"fleet:cache-pages=32" ())
-    (fun a ->
-      match Registry.Spec.int_param a "cache-pages" ~default:32 with
-      | Error e -> Error e
-      | Ok cache_pages ->
-          let label = Registry.Spec.string_param a "label" ~default:"fleet" in
-          Ok
-            (fun ctx swap ->
-              match
-                List.find_map
-                  (function Fleet_tier c -> Some c | _ -> None)
-                  ctx
-              with
-              | None ->
-                  Error "fleet backing needs a Tier.Fleet.Fleet_tier capability"
-              | Some c ->
-                  let s =
-                    attach ~cache_pages ~label c.fc_fleet
-                      ~clients:c.fc_clients ~swap ()
-                  in
-                  c.fc_on_store s;
-                  Ok (backing s)))
+  Cache.register ~name:"fleet"
+    ~doc:
+      "replicated / erasure-coded remote-memory fleet over the disk \
+       (Tier.Fleet)"
+    ~label:"fleet" ~cap:"Fleet.Fleet_tier"
+    (function Fleet_tier c -> Some c | _ -> None)
+    (fun c ~cache_pages ~label swap ->
+      let s =
+        attach ~cache_pages ~label c.fc_fleet ~clients:c.fc_clients ~swap ()
+      in
+      c.fc_on_store s;
+      backing s)

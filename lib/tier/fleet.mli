@@ -87,9 +87,10 @@ type t
 (** The fleet: nodes, placement book, health state, repair process. *)
 
 type store
-(** One domain's view of the fleet — LRU RAM cache on top, the
-    redundant node set below, the domain's swapfile as durability
-    floor. Obtained from {!attach}, consumed via {!backing}. *)
+(** One domain's view of the fleet — the {!Cache} front end (LRU RAM
+    cache, write modes, disk floor) on top, the redundant node set as
+    its lower layer. Obtained from {!attach}, consumed via
+    {!backing}. *)
 
 type stats = {
   stores : int;  (** entries recorded in the placement book *)
@@ -212,7 +213,7 @@ val admit_clients :
     the already-admitted clients are retired and the error returned. *)
 
 val attach :
-  ?mode:Store.mode ->
+  ?mode:Cache.mode ->
   ?cache_pages:int ->
   ?label:string ->
   t ->
@@ -249,17 +250,8 @@ val placement : t -> owner:string -> slot:int -> int array
     placement, and a membership change re-ranks with minimal
     movement. *)
 
-val node_names : t -> string array
-(** All nodes, members and standby, in node order. *)
-
 val member_names : t -> string array
 (** The nodes currently in the placement ring. *)
-
-val redundancy : t -> redundancy
-
-val stripe_width : t -> int
-(** Entries placed per page: the (possibly clamped) replica count,
-    or [k + m]. *)
 
 val add_node : t -> name:string -> unit
 (** Admit a standby node into the placement ring; the repair loop

@@ -2,7 +2,7 @@ open Engine
 
 let page_bytes = 8192 (* mirrors the USBS page size; Sfs keeps it internal *)
 
-type mode = Write_through | Write_back
+type mode = Cache.mode = Write_through | Write_back
 
 type stats = {
   cache_hits : int;
@@ -24,27 +24,20 @@ type stats = {
 }
 
 type t = {
-  mode : mode;
-  label : string;
-  swap : Usbs.Sfs.swapfile;
+  cache : Cache.t;
+  net : net;
+}
+
+(* The single-link lower layer: one remote node behind one link, and
+   the drop/delay books of the transfers that reach it. *)
+and net = {
   link : Usnet.Link.t;
   client : Usnet.Link.client;
   remote : Remote_node.t;
   owner : string; (* key space at the remote node: the swapfile name *)
-  cache_cap : int;
-  lru : int Ilist.t; (* front = least recently used *)
-  nodes : (int, int Ilist.node) Hashtbl.t;
-  evicting : (int, unit) Hashtbl.t;
-  disk_valid : bool array;
   in_remote : bool array;
-  dead : bool array;
   link_retries : int;
   retx_timeout : Time.span;
-  mutable s_cache_hits : int;
-  mutable s_remote_hits : int;
-  mutable s_remote_misses : int;
-  mutable s_promotes : int;
-  mutable s_demotes : int;
   mutable s_remote_fulls : int;
   mutable s_drops : int;
   mutable s_delays : int;
@@ -55,56 +48,15 @@ type t = {
   mutable s_clean_aborts : int;
   mutable s_disk_fallbacks : int;
   mutable s_link_lost_slots : int;
-  mutable s_lost_slots : int;
 }
 
-let create ?(mode = Write_through) ?(cache_pages = 32) ?(link_retries = 3)
-    ?(retx_timeout = Time.ms 1) ?(label = "tier") ~link ~client ~remote ~swap
-    () =
-  if cache_pages < 1 then invalid_arg "Store.create: cache_pages must be >= 1";
-  if link_retries < 0 then invalid_arg "Store.create: negative link_retries";
-  let cap = Usbs.Sfs.page_capacity swap in
-  { mode;
-    label;
-    swap;
-    link;
-    client;
-    remote;
-    owner = Usbs.Sfs.swap_name swap;
-    cache_cap = cache_pages;
-    lru = Ilist.create ();
-    nodes = Hashtbl.create 64;
-    evicting = Hashtbl.create 8;
-    (* the disk is the authority for slots the tier has never seen —
-       this is what makes restore-from-journal work unchanged *)
-    disk_valid = Array.make (max 1 cap) true;
-    in_remote = Array.make (max 1 cap) false;
-    dead = Array.make (max 1 cap) false;
-    link_retries;
-    retx_timeout;
-    s_cache_hits = 0;
-    s_remote_hits = 0;
-    s_remote_misses = 0;
-    s_promotes = 0;
-    s_demotes = 0;
-    s_remote_fulls = 0;
-    s_drops = 0;
-    s_delays = 0;
-    s_retransmits = 0;
-    s_retx_delays = [];
-    s_drop_losses = 0;
-    s_transfer_fails = 0;
-    s_clean_aborts = 0;
-    s_disk_fallbacks = 0;
-    s_link_lost_slots = 0;
-    s_lost_slots = 0 }
-
-let stats t =
-  { cache_hits = t.s_cache_hits;
-    remote_hits = t.s_remote_hits;
-    remote_misses = t.s_remote_misses;
-    promotes = t.s_promotes;
-    demotes = t.s_demotes;
+let stats { cache; net = t } =
+  let c = Cache.counters cache in
+  { cache_hits = c.Cache.cache_hits;
+    remote_hits = c.Cache.hits;
+    remote_misses = c.Cache.misses;
+    promotes = c.Cache.hits;
+    demotes = c.Cache.demotes;
     remote_fulls = t.s_remote_fulls;
     drops_seen = t.s_drops;
     delays_seen = t.s_delays;
@@ -115,9 +67,9 @@ let stats t =
     clean_aborts = t.s_clean_aborts;
     disk_fallbacks = t.s_disk_fallbacks;
     link_lost_slots = t.s_link_lost_slots;
-    lost_slots = t.s_lost_slots }
+    lost_slots = c.Cache.lost_slots }
 
-let books_balanced t =
+let books_balanced { net = t; _ } =
   t.s_drops = t.s_retransmits + t.s_drop_losses
   && t.s_transfer_fails
      = t.s_clean_aborts + t.s_disk_fallbacks + t.s_link_lost_slots
@@ -173,38 +125,22 @@ let send_frag t bytes =
   in
   attempt t.link_retries 0
 
-(* A whole page across the wire; [request] prepends the 64-byte fetch
-   request for the read direction. Abandons at the first lost
+(* A whole page across the wire. Abandons at the first lost
    fragment. *)
-let transfer_page t ~request =
-  let frags = if request then 64 :: fragments t else fragments t in
+let transfer_page t =
   let rec go = function
     | [] -> Ok ()
     | b :: rest -> (
         match send_frag t b with Ok () -> go rest | Error _ as e -> e)
   in
-  match go frags with
+  match go (fragments t) with
   | Ok () -> Ok ()
   | Error `Link_lost ->
       t.s_transfer_fails <- t.s_transfer_fails + 1;
       Error `Link_lost
 
 (* ------------------------------------------------------------------ *)
-(* Local RAM tier (LRU over slot indices)                              *)
-
-let cached t s = Hashtbl.mem t.nodes s
-
-let touch t s =
-  match Hashtbl.find_opt t.nodes s with
-  | Some n -> Ilist.move_back t.lru n
-  | None -> ()
-
-let drop_cache t s =
-  match Hashtbl.find_opt t.nodes s with
-  | Some n ->
-      Ilist.remove t.lru n;
-      Hashtbl.remove t.nodes s
-  | None -> ()
+(* The lower layer                                                     *)
 
 let drop_remote t s =
   if t.in_remote.(s) then begin
@@ -212,280 +148,100 @@ let drop_remote t s =
     t.in_remote.(s) <- false
   end
 
-(* Answer a demotion whose only copy was dirty and whose transfer (or
-   node) failed: the disk takes it. If the disk eats the write too,
-   the tier held the last copy — answer the write-loss duty itself
-   and declare the slot dead. *)
-let disk_write_slot t s =
-  match Usbs.Sfs.write_page t.swap ~page_index:s with
-  | Ok () -> t.disk_valid.(s) <- true
-  | Error (`Lost_pages _) ->
-      Inject.note_killed "tier.demote";
-      t.dead.(s) <- true;
-      t.s_lost_slots <- t.s_lost_slots + 1
-  | Error (`Retired | `Crashed) ->
-      (* teardown / crash latched elsewhere; nothing left to account *)
-      ()
-
-(* Push one evicted slot down a tier. Inclusive with the remote node:
-   a slot that is already remote just leaves the cache. *)
-let demote t s =
-  if (not t.in_remote.(s)) && not t.dead.(s) then begin
-    let dirty = not t.disk_valid.(s) in
-    if Remote_node.has_room t.remote then begin
-      match transfer_page t ~request:false with
-      | Ok () -> (
-          Proc.sleep (Remote_node.service_time t.remote);
-          match Remote_node.store t.remote ~owner:t.owner ~slot:s with
-          | Ok () ->
-              t.in_remote.(s) <- true;
-              t.s_demotes <- t.s_demotes + 1;
-              metric t "tier.demote"
-          | Error `Remote_full ->
-              (* lost the race for the last slot while on the wire *)
-              t.s_remote_fulls <- t.s_remote_fulls + 1;
-              metric t "tier.remote_full";
-              if dirty then disk_write_slot t s)
-      | Error `Link_lost ->
-          if dirty then begin
-            t.s_disk_fallbacks <- t.s_disk_fallbacks + 1;
-            disk_write_slot t s
-          end
-          else t.s_clean_aborts <- t.s_clean_aborts + 1
-    end
-    else begin
-      t.s_remote_fulls <- t.s_remote_fulls + 1;
-      metric t "tier.remote_full";
-      if dirty then disk_write_slot t s
-    end
+(* Push one evicted slot to the remote node. A refusal is booked here;
+   the front end then writes a dirty slot to the disk. *)
+let demote t s ~dirty =
+  if Remote_node.has_room t.remote then begin
+    match transfer_page t with
+    | Ok () -> (
+        Proc.sleep (Remote_node.service_time t.remote);
+        match Remote_node.store t.remote ~owner:t.owner ~slot:s with
+        | Ok () ->
+            t.in_remote.(s) <- true;
+            true
+        | Error `Remote_full ->
+            (* lost the race for the last slot while on the wire *)
+            t.s_remote_fulls <- t.s_remote_fulls + 1;
+            metric t "tier.remote_full";
+            false)
+    | Error `Link_lost ->
+        if dirty then t.s_disk_fallbacks <- t.s_disk_fallbacks + 1
+        else t.s_clean_aborts <- t.s_clean_aborts + 1;
+        false
+  end
+  else begin
+    t.s_remote_fulls <- t.s_remote_fulls + 1;
+    metric t "tier.remote_full";
+    false
   end
 
-(* Evict LRU victims until the cache fits. The victim stays visible
-   as cached while its transfer sleeps (the RAM copy exists until the
-   copy-out finishes); the [evicting] set keeps a concurrent insert
-   from picking the same victim twice. *)
-let rec shrink t =
-  if Hashtbl.length t.nodes > t.cache_cap then begin
-    let victim =
-      Ilist.fold
-        (fun acc s ->
-          match acc with
-          | Some _ -> acc
-          | None -> if Hashtbl.mem t.evicting s then None else Some s)
-        None t.lru
-    in
-    match victim with
-    | None -> () (* everything in flight; transiently over capacity *)
-    | Some s ->
-        Hashtbl.replace t.evicting s ();
-        demote t s;
-        Hashtbl.remove t.evicting s;
-        drop_cache t s;
-        shrink t
-  end
-
-let insert_cache t s =
-  if not t.dead.(s) then begin
-    if cached t s then touch t s
-    else begin
-      let n = Ilist.make_node s in
-      Hashtbl.replace t.nodes s n;
-      Ilist.push_back t.lru n;
-      shrink t
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Reads                                                               *)
+(* A lost transfer is answered by the disk copy when [on_disk], else
+   by losing the slot. *)
+let link_lost t ~on_disk =
+  if on_disk then t.s_disk_fallbacks <- t.s_disk_fallbacks + 1
+  else t.s_link_lost_slots <- t.s_link_lost_slots + 1;
+  false
 
 (* Pull one page back from the remote node: request out, node service,
-   page fragments back — all on the owner's own link guarantee. *)
-let fetch_remote t s =
+   page fragments back — all on the owner's own link guarantee. A
+   stale hint (node wiped) is not a link failure. *)
+let fetch t s ~on_disk =
   if not (Remote_node.holds t.remote ~owner:t.owner ~slot:s) then begin
-    (* stale hint (node wiped): not a link failure *)
     t.in_remote.(s) <- false;
-    Error `Evicted
+    false
   end
   else
     match send_frag t 64 with
     | Error `Link_lost ->
         t.s_transfer_fails <- t.s_transfer_fails + 1;
-        Error `Link_lost
+        link_lost t ~on_disk
     | Ok () -> (
         Proc.sleep (Remote_node.service_time t.remote);
-        match transfer_page t ~request:false with
-        | Ok () -> Ok ()
-        | Error `Link_lost -> Error `Link_lost)
+        match transfer_page t with
+        | Ok () -> true
+        | Error `Link_lost -> link_lost t ~on_disk)
 
-let read_pages t ~page_index ~npages =
-  let lost = ref [] in
-  let fatal = ref None in
-  let run_start = ref 0 and run_len = ref 0 in
-  (* coalesce consecutive disk-served slots into one SFS transaction *)
-  let flush_run () =
-    if !run_len > 0 then begin
-      (match
-         Usbs.Sfs.read_pages t.swap ~page_index:!run_start ~npages:!run_len
-       with
-      | Ok () ->
-          for s = !run_start to !run_start + !run_len - 1 do
-            insert_cache t s
-          done
-      | Error (`Lost_pages l) ->
-          for s = !run_start to !run_start + !run_len - 1 do
-            if List.mem s l then lost := s :: !lost else insert_cache t s
-          done
-      | Error ((`Retired | `Crashed) as e) -> fatal := Some e);
-      run_len := 0
-    end
-  in
-  let from_disk s =
-    if !run_len = 0 then begin
-      run_start := s;
-      run_len := 1
-    end
-    else run_len := !run_len + 1
-  in
-  let i = ref page_index in
-  while !fatal = None && !i < page_index + npages do
-    let s = !i in
-    if t.dead.(s) then begin
-      flush_run ();
-      lost := s :: !lost
-    end
-    else if cached t s then begin
-      flush_run ();
-      touch t s;
-      t.s_cache_hits <- t.s_cache_hits + 1;
-      metric t "tier.cache_hit"
-    end
-    else if t.in_remote.(s) then begin
-      flush_run ();
-      match fetch_remote t s with
-      | Ok () ->
-          t.s_remote_hits <- t.s_remote_hits + 1;
+let lower t =
+  { Cache.holds = (fun s -> t.in_remote.(s));
+    fetch = fetch t;
+    demote = demote t;
+    forget = drop_remote t;
+    note =
+      (function
+      | Cache.Cache_hit -> metric t "tier.cache_hit"
+      | Cache.Promote ->
           metric t "tier.remote_hit";
-          t.s_promotes <- t.s_promotes + 1;
-          metric t "tier.promote";
-          (* inclusive: the node keeps its copy, so a clean re-eviction
-             costs nothing *)
-          insert_cache t s
-      | Error `Link_lost ->
-          if t.disk_valid.(s) then begin
-            t.s_disk_fallbacks <- t.s_disk_fallbacks + 1;
-            from_disk s;
-            flush_run ()
-          end
-          else begin
-            t.s_link_lost_slots <- t.s_link_lost_slots + 1;
-            t.s_lost_slots <- t.s_lost_slots + 1;
-            t.dead.(s) <- true;
-            lost := s :: !lost
-          end
-      | Error `Evicted ->
-          if t.disk_valid.(s) then begin
-            from_disk s;
-            flush_run ()
-          end
-          else begin
-            t.s_lost_slots <- t.s_lost_slots + 1;
-            t.dead.(s) <- true;
-            lost := s :: !lost
-          end
-    end
-    else begin
-      t.s_remote_misses <- t.s_remote_misses + 1;
-      metric t "tier.remote_miss";
-      from_disk s
-    end;
-    incr i
-  done;
-  flush_run ();
-  match !fatal with
-  | Some (`Retired | `Crashed) as e -> Error (Option.get e)
-  | None ->
-      if !lost = [] then Ok () else Error (`Lost_pages (List.rev !lost))
+          metric t "tier.promote"
+      | Cache.Miss -> metric t "tier.remote_miss"
+      | Cache.Demote -> metric t "tier.demote"
+      | Cache.Floor_lost -> Inject.note_killed "tier.demote") }
 
-(* ------------------------------------------------------------------ *)
-(* Writes                                                              *)
+let create ?(mode = Cache.Write_through) ?(cache_pages = 32)
+    ?(link_retries = 3) ?(retx_timeout = Time.ms 1) ?(label = "tier") ~link
+    ~client ~remote ~swap () =
+  if link_retries < 0 then invalid_arg "Store.create: negative link_retries";
+  let net =
+    { link;
+      client;
+      remote;
+      owner = Usbs.Sfs.swap_name swap;
+      in_remote = Array.make (max 1 (Usbs.Sfs.page_capacity swap)) false;
+      link_retries;
+      retx_timeout;
+      s_remote_fulls = 0;
+      s_drops = 0;
+      s_delays = 0;
+      s_retransmits = 0;
+      s_retx_delays = [];
+      s_drop_losses = 0;
+      s_transfer_fails = 0;
+      s_clean_aborts = 0;
+      s_disk_fallbacks = 0;
+      s_link_lost_slots = 0 }
+  in
+  { cache = Cache.create ~mode ~cache_pages ~label ~swap (lower net); net }
 
-(* Fresh contents for a slot: stale copies anywhere below the cache
-   die, and a previously dead slot is live again. *)
-let overwrite t s ~disk =
-  t.dead.(s) <- false;
-  drop_remote t s;
-  t.disk_valid.(s) <- disk;
-  insert_cache t s
-
-let write_range_through t ~page_index ~npages =
-  match Usbs.Sfs.write_pages t.swap ~page_index ~npages with
-  | Ok () ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite t s ~disk:true
-      done;
-      Ok ()
-  | Error (`Lost_pages l) as e ->
-      for s = page_index to page_index + npages - 1 do
-        if List.mem s l then begin
-          (* the caller answers the write loss; the tier just stops
-             claiming copies it no longer has *)
-          drop_cache t s;
-          drop_remote t s;
-          t.dead.(s) <- true
-        end
-        else overwrite t s ~disk:true
-      done;
-      e
-  | Error (`Retired | `Crashed) as e -> e
-
-let write_pages t ~page_index ~npages =
-  match t.mode with
-  | Write_through -> write_range_through t ~page_index ~npages
-  | Write_back ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite t s ~disk:false
-      done;
-      Ok ()
-
-let write_page t ~page_index = write_pages t ~page_index ~npages:1
-
-(* Journaled commits always write through — the disk is the
-   durability floor in both modes, so the PR 4 crash story (journal
-   replay over committed slots) is untouched by tiering. *)
-let write_pages_commit t ~page_index ~npages ~pages ~retire =
-  match Usbs.Sfs.write_pages_commit t.swap ~page_index ~npages ~pages ~retire with
-  | Ok () ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite t s ~disk:true
-      done;
-      Ok ()
-  | Error (`Lost_pages l) as e ->
-      for s = page_index to page_index + npages - 1 do
-        if List.mem s l then begin
-          drop_cache t s;
-          drop_remote t s;
-          t.dead.(s) <- true
-        end
-        else overwrite t s ~disk:true
-      done;
-      e
-  | Error (`Retired | `Crashed) as e -> e
-
-let backing t =
-  { Backing.label = t.label;
-    page_capacity = (fun () -> Usbs.Sfs.page_capacity t.swap);
-    journaled = (fun () -> Usbs.Sfs.swap_journaled t.swap);
-    read_pages = (fun ~page_index ~npages -> read_pages t ~page_index ~npages);
-    write_page = (fun ~page_index -> write_page t ~page_index);
-    write_pages =
-      (fun ~page_index ~npages -> write_pages t ~page_index ~npages);
-    write_pages_commit =
-      (fun ~page_index ~npages ~pages ~retire ->
-        write_pages_commit t ~page_index ~npages ~pages ~retire);
-    slot_committed = (fun slot -> Usbs.Sfs.slot_committed t.swap slot);
-    extent =
-      (fun () ->
-        (Usbs.Sfs.extent_start t.swap, Usbs.Sfs.extent_blocks t.swap)) }
+let backing t = Cache.backing t.cache
 
 (* --- backing-axis registration --------------------------------------- *)
 
@@ -499,35 +255,16 @@ type tiered_cap = {
 type Backing.cap += Tiered of tiered_cap
 
 let () =
-  Registry.register_exn Backing.axis
-    (Registry.manifest ~name:"tiered"
-       ~doc:
-         "local RAM cache over one remote memory node over the disk \
-          (Tier.Store)"
-       ~params:
-         [ { Registry.p_name = "cache-pages";
-             p_doc = "local RAM cache size, pages";
-             p_kind = Registry.Int 32 };
-           { Registry.p_name = "label";
-             p_doc = "store label for metrics and driver names";
-             p_kind = Registry.String (Some "tier") } ]
-       ~default:"tiered:cache-pages=32" ())
-    (fun a ->
-      match Registry.Spec.int_param a "cache-pages" ~default:32 with
-      | Error e -> Error e
-      | Ok cache_pages ->
-          let label = Registry.Spec.string_param a "label" ~default:"tier" in
-          Ok
-            (fun ctx swap ->
-              match
-                List.find_map (function Tiered c -> Some c | _ -> None) ctx
-              with
-              | None ->
-                  Error "tiered backing needs a Tier.Store.Tiered capability"
-              | Some c ->
-                  let s =
-                    create ~cache_pages ~label ~link:c.tc_link
-                      ~client:c.tc_client ~remote:c.tc_remote ~swap ()
-                  in
-                  c.tc_on_store s;
-                  Ok (backing s)))
+  Cache.register ~name:"tiered"
+    ~doc:
+      "local RAM cache over one remote memory node over the disk \
+       (Tier.Store)"
+    ~label:"tier" ~cap:"Store.Tiered"
+    (function Tiered c -> Some c | _ -> None)
+    (fun c ~cache_pages ~label swap ->
+      let s =
+        create ~cache_pages ~label ~link:c.tc_link ~client:c.tc_client
+          ~remote:c.tc_remote ~swap ()
+      in
+      c.tc_on_store s;
+      backing s)

@@ -1,13 +1,15 @@
 (** The tiered backing store: local RAM cache → remote memory node → disk.
 
     A store sits between one paged driver and its swapfile. Pages the
-    driver writes out land in a small local RAM-tier cache (an LRU over
-    slot indices); evictions demote cold pages over a {!Usnet.Link} to
-    a {!Remote_node}; faults promote them back. The disk (the
-    swapfile's SFS data path) stays the durability floor: journaled
-    commits always write through, and when the remote node is full or
-    the link gives up a demotion degrades to a plain disk write —
-    tiering changes latency, never safety.
+    driver writes out land in the {!Cache} front end's local RAM tier;
+    evictions demote cold pages over a {!Usnet.Link} to a
+    {!Remote_node}; faults promote them back. This module is the
+    front end's single-link lower layer: its transfers and their
+    drop/delay books. The disk (the swapfile's SFS data path) stays
+    the durability floor: journaled commits always write through, and
+    when the remote node is full or the link gives up a demotion
+    degrades to a plain disk write — tiering changes latency, never
+    safety.
 
     Every byte that crosses the wire is charged to the owning domain's
     own link client, admitted under a (p,s,x,l) guarantee, so a
@@ -32,7 +34,7 @@ open Engine
 
 type t
 
-type mode =
+type mode = Cache.mode =
   | Write_through
       (** non-journaled writes hit the disk before returning; the
           cache and remote node only ever hold clean copies *)
@@ -40,7 +42,7 @@ type mode =
       (** non-journaled writes land in the RAM tier and return
           immediately; dirty pages reach the remote node or the disk
           on eviction. Journaled commits still write through — the
-          PR 4 crash-consistency story is mode-independent. *)
+          crash-consistency story is mode-independent. *)
 
 type stats = {
   cache_hits : int;  (** reads served from the local RAM tier *)
@@ -61,7 +63,11 @@ type stats = {
   clean_aborts : int;  (** failed transfers that needed no answer *)
   disk_fallbacks : int;  (** failed transfers served from disk instead *)
   link_lost_slots : int;  (** slots lost to the link with no disk copy *)
-  lost_slots : int;  (** slots the tier declared dead, any cause *)
+  lost_slots : int;
+      (** slots the tier declared dead: a read found no copy left, or
+          the disk lost a demotion's fallback write. A write loss marks
+          the slot dead without counting it here, because the caller
+          answers it. *)
 }
 
 val create :

@@ -412,7 +412,8 @@ let erasure_experiment_smoke () =
         0 c.Experiments.Erasure.c_bystander_violations)
     [ r.Experiments.Erasure.replicated; r.Experiments.Erasure.erasure ];
   checkb "same-seed rerun byte-identical" true
-    r.Experiments.Erasure.deterministic
+    r.Experiments.Erasure.deterministic;
+  Golden.check ~file:"erasure_seed5.json" (Experiments.Erasure.to_json r)
 
 let suite =
   [ ( "ec.coder",

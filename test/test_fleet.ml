@@ -330,7 +330,8 @@ let failover_experiment_smoke () =
   checkb "fleet books balance" true r.Experiments.Failover.books_balanced;
   check "no committed pages lost" 0 r.Experiments.Failover.lost_slots;
   checkb "same-seed rerun byte-identical" true
-    r.Experiments.Failover.deterministic
+    r.Experiments.Failover.deterministic;
+  Golden.check ~file:"failover_seed5.json" (Experiments.Failover.to_json r)
 
 let suite =
   [ ( "fleet.placement",

@@ -118,9 +118,11 @@ let register_resolve_roundtrip =
                    | _ -> ())
                  s;
                (* A leading letter keeps the numeric-suffix fallback
-                  out of the picture. *)
+                  out of the picture; the '-' separator cannot occur in
+                  the [a-z0-9] content, so batch 1 with "23ab" and
+                  batch 12 with "3ab" stay distinct names. *)
                if Buffer.length b = 0 then None
-               else Some (Printf.sprintf "b%d%s" !batch (Buffer.contents b)))
+               else Some (Printf.sprintf "b%d-%s" !batch (Buffer.contents b)))
              names)
       in
       List.iteri

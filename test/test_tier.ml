@@ -135,11 +135,59 @@ let tier_demote_promote () =
   checkb "books balance" true (books_balanced store);
   check "nothing lost" 0 s.lost_slots
 
-(* --- Store: model property --- *)
+(* --- Store and Fleet: model property and differential --- *)
+
+(* The other lower layer under the same Cache front end: a one-node
+   [Replicated 1] fleet over the same shape of swapfile, link and
+   remote node as [mk_rig]. *)
+let mk_fleet_rig ?mode ~cache_pages ~remote_pages () =
+  let sim, _, fs = mk_sfs () in
+  let swap = open_swap_exn fs ~name:"t" ~bytes:(256 * 1024) in
+  let link = Usnet.Link.create ~name:"tlink" sim in
+  let remote = Tier.Remote_node.create ~capacity_pages:remote_pages () in
+  let fleet =
+    Tier.Fleet.create ~seed:1 ~redundancy:(Tier.Fleet.Replicated 1)
+      ~nodes:[ ("tlink", remote, link) ] sim
+  in
+  let clients =
+    match
+      Tier.Fleet.admit_clients fleet ~name:"t.tier" ~period:(Time.ms 20)
+        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
+    with
+    | Ok cs -> cs
+    | Error e -> failwith (Usnet.Link.admit_error_message e)
+  in
+  (sim, fleet, Tier.Fleet.attach ?mode fleet ~cache_pages ~clients ~swap ())
+
+(* Run an op sequence through a backing, then read back every slot
+   ever written: the outcome of each write and each read, in order. *)
+let drive sim b ops =
+  let written = Hashtbl.create 16 in
+  let outcomes = ref [] in
+  let note r = outcomes := Result.is_ok r :: !outcomes in
+  let read slot = note (b.Tier.Backing.read_pages ~page_index:slot ~npages:1) in
+  ignore
+    (Proc.spawn sim (fun () ->
+         List.iter
+           (fun (is_write, slot) ->
+             if is_write then begin
+               let r = b.Tier.Backing.write_pages ~page_index:slot ~npages:1 in
+               if Result.is_ok r then Hashtbl.replace written slot ();
+               note r
+             end
+             else if Hashtbl.mem written slot then read slot)
+           ops;
+         List.iter read
+           (List.sort compare
+              (Hashtbl.fold (fun s () l -> s :: l) written []))));
+  Sim.run ~until:(Time.sec 60) sim;
+  List.rev !outcomes
 
 (* Random op sequences over random cache / remote-node sizes (including
-   a zero-capacity remote node) and both write modes: every slot ever
-   written must read back Ok, and the loss books must balance. *)
+   a zero-capacity remote node) and both write modes, through both
+   lower layers: every slot ever written must read back Ok, the books
+   must balance, and Store and a one-node fleet must agree on every
+   outcome and every front-end counter. *)
 let tier_model =
   QCheck.Test.make ~count:20
     ~name:"tier: every written slot reads back, any shape"
@@ -148,43 +196,45 @@ let tier_model =
         (list_of_size Gen.(1 -- 50) (pair bool (int_bound 31)))
         (triple (int_range 1 6) (int_bound 10) bool))
     (fun (ops, (cache_pages, remote_pages, wb)) ->
+      (* the shrinker can step outside the generators' ranges *)
+      let cache_pages = max 1 cache_pages
+      and remote_pages = max 0 remote_pages in
       let mode =
         if wb then Tier.Store.Write_back else Tier.Store.Write_through
       in
       let sim, store, _, _ = mk_rig ~mode ~cache_pages ~remote_pages () in
-      let b = Tier.Store.backing store in
-      let written = Hashtbl.create 16 in
-      let bad = ref 0 in
-      ignore
-        (Proc.spawn sim (fun () ->
-             List.iter
-               (fun (is_write, slot) ->
-                 if is_write then (
-                   match
-                     b.Tier.Backing.write_pages ~page_index:slot ~npages:1
-                   with
-                   | Ok () -> Hashtbl.replace written slot ()
-                   | Error _ -> incr bad)
-                 else if Hashtbl.mem written slot then
-                   match
-                     b.Tier.Backing.read_pages ~page_index:slot ~npages:1
-                   with
-                   | Ok () -> ()
-                   | Error _ -> incr bad)
-               ops;
-             (* final sweep: everything ever written still reads back *)
-             Hashtbl.iter
-               (fun slot () ->
-                 match
-                   b.Tier.Backing.read_pages ~page_index:slot ~npages:1
-                 with
-                 | Ok () -> ()
-                 | Error _ -> incr bad)
-               written));
-      Sim.run ~until:(Time.sec 60) sim;
-      !bad = 0
-      && Tier.Store.books_balanced store
-      && (Tier.Store.stats store).Tier.Store.lost_slots = 0)
+      let by_store = drive sim (Tier.Store.backing store) ops in
+      let fsim, fleet, fstore =
+        mk_fleet_rig ~mode ~cache_pages ~remote_pages ()
+      in
+      let by_fleet = drive fsim (Tier.Fleet.backing fstore) ops in
+      let s = Tier.Store.stats store and f = Tier.Fleet.store_stats fstore in
+      let front_store =
+        Tier.Store.
+          [ s.cache_hits; s.remote_hits; s.remote_misses; s.promotes;
+            s.demotes; s.lost_slots ]
+      and front_fleet =
+        Tier.Fleet.
+          [ f.st_cache_hits; f.st_fleet_hits; f.st_fleet_misses;
+            f.st_promotes; f.st_demotes; f.st_lost_slots ]
+      in
+      let show l = String.concat "/" (List.map string_of_int l) in
+      let marks l =
+        String.concat "" (List.map (fun ok -> if ok then "+" else "-") l)
+      in
+      if by_store <> by_fleet then
+        QCheck.Test.fail_reportf "op outcomes differ: store %s, fleet %s"
+          (marks by_store) (marks by_fleet)
+      else if front_store <> front_fleet then
+        QCheck.Test.fail_reportf
+          "front-end counters differ \
+           (cache/hits/misses/promotes/demotes/lost): store %s, fleet %s"
+          (show front_store) (show front_fleet)
+      else
+        List.for_all Fun.id by_store
+        && Tier.Store.books_balanced store
+        && Tier.Fleet.books_balanced fleet
+        && s.Tier.Store.lost_slots = 0)
 
 (* --- Store: loss books under link chaos --- *)
 
@@ -286,7 +336,8 @@ let remote_experiment_smoke () =
     r.Experiments.Remote_page.bystander_violations;
   checkb "loss books balance" true r.Experiments.Remote_page.books_balanced;
   checkb "same-seed rerun byte-identical" true
-    r.Experiments.Remote_page.deterministic
+    r.Experiments.Remote_page.deterministic;
+  Golden.check ~file:"remote_seed5.json" (Experiments.Remote_page.to_json r)
 
 let suite =
   [ ( "tier.backing",
