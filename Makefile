@@ -124,11 +124,15 @@ scale:
 share:
 	dune exec bin/nemesis_sim.exe -- tenancy -d 20 --tenants 12
 
-# One short run of the paging benchmark's scheduler-bound workload:
-# its books and same-input determinism checks must hold (non-zero exit
-# on breach). About a second of measured wall time.
+# One short run of each paging benchmark workload (scheduler-bound
+# many-domains, zero-delay-wake-bound ec-fleet, disk-bound
+# disk-paging): their books, lost-page and same-input determinism
+# checks must hold (non-zero exit on breach). About a second of
+# measured wall time each, plus set-up.
 perfbench-smoke:
 	python3 perfbench/run.py --workload many-domains --seed 42 --seconds 1 --trace 0
+	python3 perfbench/run.py --workload ec-fleet --seed 42 --seconds 1 --trace 0
+	python3 perfbench/run.py --workload disk-paging --seed 42 --seconds 1 --trace 0
 
 # Registry hygiene: every registered extension name (on every axis)
 # must be documented in README.md/DESIGN.md, and every lib/experiments

@@ -19,54 +19,53 @@ let grow h e =
     h.arr <- narr
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h.arr.(i) h.arr.(parent) then begin
-      let tmp = h.arr.(i) in
-      h.arr.(i) <- h.arr.(parent);
-      h.arr.(parent) <- tmp;
-      sift_up h parent
-    end
+(* Both sifts move entries into a hole and write [e] once, where it
+   belongs, rather than swapping at every level. *)
+let rec sift_up h i e =
+  let parent = (i - 1) / 2 in
+  if i > 0 && less e h.arr.(parent) then begin
+    h.arr.(i) <- h.arr.(parent);
+    sift_up h parent e
   end
+  else h.arr.(i) <- e
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-  if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(!smallest);
-    h.arr.(!smallest) <- tmp;
-    sift_down h !smallest
+let rec sift_down h i e =
+  let l = (2 * i) + 1 in
+  if l >= h.len then h.arr.(i) <- e
+  else begin
+    let c =
+      if l + 1 < h.len && less h.arr.(l + 1) h.arr.(l) then l + 1 else l
+    in
+    if less h.arr.(c) e then begin
+      h.arr.(i) <- h.arr.(c);
+      sift_down h c e
+    end
+    else h.arr.(i) <- e
   end
 
 let push h ~key ~sub value =
   let e = { key; sub; value } in
   grow h e;
-  h.arr.(h.len) <- e;
   h.len <- h.len + 1;
-  sift_up h (h.len - 1)
+  sift_up h (h.len - 1) e
+
+(* Remove and return the minimum entry; the heap must not be empty. *)
+let remove_top h =
+  let top = h.arr.(0) in
+  h.len <- h.len - 1;
+  if h.len > 0 then sift_down h 0 h.arr.(h.len);
+  top
 
 let pop h =
   if h.len = 0 then None
-  else begin
-    let top = h.arr.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.arr.(0) <- h.arr.(h.len);
-      sift_down h 0
-    end;
-    Some (top.key, top.sub, top.value)
-  end
-
-let peek h =
-  if h.len = 0 then None
   else
-    let top = h.arr.(0) in
+    let top = remove_top h in
     Some (top.key, top.sub, top.value)
 
-let clear h =
-  h.arr <- [||];
-  h.len <- 0
+let min_key h =
+  if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
+  h.arr.(0).key
+
+let take h =
+  if h.len = 0 then invalid_arg "Heap.take: empty heap";
+  (remove_top h).value

@@ -20,6 +20,10 @@ val push : 'a t -> key:int -> sub:int -> 'a -> unit
 val pop : 'a t -> (int * int * 'a) option
 (** Remove and return the minimum element as [(key, sub, value)]. *)
 
-val peek : 'a t -> (int * int * 'a) option
+val min_key : 'a t -> int
+(** Primary key of the minimum element, without allocating. Raises
+    [Invalid_argument] on an empty heap. *)
 
-val clear : 'a t -> unit
+val take : 'a t -> 'a
+(** Remove the minimum element and return its value, without
+    allocating. Raises [Invalid_argument] on an empty heap. *)

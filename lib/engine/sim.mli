@@ -2,7 +2,9 @@
 
     A [Sim.t] owns the simulated clock and a priority queue of pending
     callbacks. Events scheduled for the same instant fire in the order
-    they were scheduled, which makes every run deterministic. *)
+    they were scheduled, which makes every run deterministic. An event
+    scheduled for the current instant (such as [after sim 0]) costs one
+    handle and no heap operation. *)
 
 type t
 
@@ -31,7 +33,8 @@ val cancel : handle -> unit
 
 val run : ?until:Time.t -> t -> unit
 (** Run the event loop until the queue drains, or until the clock would
-    pass [until] (the clock is left at [until] in that case). *)
+    pass [until] (the clock is left at [until] in that case). The clock
+    never moves backwards: an [until] earlier than now runs nothing. *)
 
 val step : t -> bool
 (** Execute the single next event. Returns [false] if the queue was

@@ -93,8 +93,6 @@ module Semaphore = struct
     match Queue.take_opt t.waiters with
     | Some wake -> wake ()
     | None -> t.count <- t.count + 1
-
-  let count t = t.count
 end
 
 module Waitq = struct
@@ -117,17 +115,8 @@ module Waitq = struct
     | None -> ());
     signalled
 
-  let signal t =
-    match List.rev t.waiters with
-    | [] -> ()
-    | wake :: rest ->
-      t.waiters <- List.rev rest;
-      wake ()
-
   let broadcast t =
     let ws = List.rev t.waiters in
     t.waiters <- [];
     List.iter (fun wake -> wake ()) ws
-
-  let waiters t = List.length t.waiters
 end

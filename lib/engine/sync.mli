@@ -1,7 +1,7 @@
 (** Synchronisation primitives for {!Proc} processes.
 
     All blocking operations must be called from inside a process. The
-    wake-up side ([fill], [send], [signal], ...) may be called from
+    wake-up side ([fill], [send], [broadcast], ...) may be called from
     anywhere, including plain simulator callbacks. *)
 
 module Ivar : sig
@@ -51,7 +51,6 @@ module Semaphore : sig
   val acquire : t -> unit
   val try_acquire : t -> bool
   val release : t -> unit
-  val count : t -> int
 end
 
 module Waitq : sig
@@ -65,16 +64,9 @@ module Waitq : sig
   val wait : t -> unit
 
   val wait_timeout : t -> Time.span -> bool
-  (** [wait_timeout q d] waits for a signal for at most [d]; [true]
-      means signalled, [false] means timed out. A timed-out waiter
-      consumes the next [signal] harmlessly (it is woken and ignores
-      it), so prefer [broadcast] when mixing with timeouts. *)
-
-  val signal : t -> unit
-  (** Wake one waiter, if any. *)
+  (** [wait_timeout q d] waits for a [broadcast] for at most [d];
+      [true] means signalled, [false] means timed out. *)
 
   val broadcast : t -> unit
   (** Wake all current waiters. *)
-
-  val waiters : t -> int
 end

@@ -35,10 +35,10 @@ let heap_basic () =
   (match Heap.pop h with
   | Some (1, 0, "one") -> ()
   | _ -> Alcotest.fail "expected (1, one)");
-  (match Heap.peek h with
-  | Some (3, 0, "three") -> ()
-  | _ -> Alcotest.fail "expected peek (3, three)");
-  check "length after pop" 2 (Heap.length h)
+  check "min_key" 3 (Heap.min_key h);
+  check "length after pop" 2 (Heap.length h);
+  Alcotest.(check string) "take" "three" (Heap.take h);
+  check "length after take" 1 (Heap.length h)
 
 let heap_fifo_ties () =
   let h = Heap.create () in
@@ -133,6 +133,229 @@ let sim_past_raises () =
   Alcotest.check_raises "past scheduling"
     (Invalid_argument "Sim.at: 1.000ms is in the past (now 2.000ms)")
     (fun () -> ignore (Sim.at sim (Time.ms 1) (fun () -> ())))
+
+(* A cancelled event last in the queue is dropped without moving the
+   clock: the clock only ever moves to an event that runs. *)
+let sim_cancelled_tail () =
+  let sim = Sim.create () in
+  ignore (Sim.at sim (Time.ms 1) ignore);
+  Sim.cancel (Sim.at sim (Time.sec 100) ignore);
+  Sim.run sim;
+  check "run leaves the clock at the last live event" (Time.ms 1) (Sim.now sim);
+  Sim.cancel (Sim.at sim (Time.sec 200) ignore);
+  checkb "step finds nothing" false (Sim.step sim);
+  check "step leaves the clock" (Time.ms 1) (Sim.now sim);
+  check "nothing pending" 0 (Sim.pending sim)
+
+(* A same-instant wake costs its handle and nothing else: no heap
+   round trip and no boxing, however many events the heap holds. The
+   handle is a header and three fields; going through the heap would
+   add a four-word entry. *)
+let sim_zero_delay_allocation () =
+  let words far =
+    let sim = Sim.create () in
+    for i = 1 to far do
+      ignore (Sim.at sim (Time.sec (1_000 + i)) ignore)
+    done;
+    let rec tick () = ignore (Sim.after sim 0 tick) in
+    tick ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sim.step sim)
+    done;
+    int_of_float (Gc.minor_words () -. before) / 1000
+  in
+  let small = words 16 and large = words 1024 in
+  check "same words per step with 16 and 1024 pending" small large;
+  checkb "only the handle's 4 words per step" true (large <= 4)
+
+(* --- Sim against a reference model --- *)
+
+module type SIM = sig
+  type t
+  type handle
+
+  val now : t -> Time.t
+  val at : t -> Time.t -> (unit -> unit) -> handle
+  val after : t -> Time.span -> (unit -> unit) -> handle
+  val cancel : handle -> unit
+  val step : t -> bool
+  val run : ?until:Time.t -> t -> unit
+  val pending : t -> int
+end
+
+(* The heap-only event queue that the ring-plus-heap [Sim] replaced:
+   every event goes through the heap, keyed by (time, seq). *)
+module Model = struct
+  type handle = { mutable cancelled : bool; fn : unit -> unit; live : int ref }
+
+  type t = {
+    mutable clock : Time.t;
+    queue : handle Heap.t;
+    mutable seq : int;
+    live : int ref;
+  }
+
+  let create () =
+    { clock = Time.zero; queue = Heap.create (); seq = 0; live = ref 0 }
+  let now t = t.clock
+
+  let at t time fn =
+    if time < t.clock then invalid_arg "Model.at: in the past";
+    let h = { cancelled = false; fn; live = t.live } in
+    Heap.push t.queue ~key:time ~sub:t.seq h;
+    t.seq <- t.seq + 1;
+    incr t.live;
+    h
+
+  let after t d fn = at t (Time.add t.clock d) fn
+
+  let cancel h =
+    if not h.cancelled then begin
+      h.cancelled <- true;
+      decr h.live
+    end
+
+  let rec step t =
+    match Heap.pop t.queue with
+    | None -> false
+    | Some (time, _, h) ->
+      if h.cancelled then step t
+      else begin
+        decr t.live;
+        t.clock <- time;
+        h.fn ();
+        true
+      end
+
+  let run ?until t =
+    let continue = ref true in
+    while !continue do
+      match Heap.pop t.queue with
+      | None -> continue := false
+      | Some (time, sub, h) ->
+        let past_limit =
+          match until with Some limit -> time > limit | None -> false
+        in
+        if past_limit then begin
+          Heap.push t.queue ~key:time ~sub h;
+          (match until with Some limit -> t.clock <- limit | None -> ());
+          continue := false
+        end
+        else if not h.cancelled then begin
+          decr t.live;
+          t.clock <- time;
+          h.fn ()
+        end
+    done;
+    match until with
+    | Some limit when t.clock < limit -> t.clock <- limit
+    | _ -> ()
+
+  let pending t = !(t.live)
+end
+
+(* A random schedule. [Schedule] adds an event that, when it fires,
+   runs its body (more [Schedule]s and [Cancel]s); [Cancel n] cancels
+   the [n]th event made so far, modulo their number, pending or fired
+   alike. *)
+type op =
+  | Schedule of timing * op list
+  | Cancel of int
+  | Step
+  | Run_until of Time.span (* from now; never earlier than now *)
+
+and timing = At_now | At of Time.span | After_zero | After of Time.span
+
+let rec show_op = function
+  | Schedule (w, body) ->
+    let w =
+      match w with
+      | At_now -> "at now"
+      | At d -> Printf.sprintf "at now+%d" d
+      | After_zero -> "after 0"
+      | After d -> Printf.sprintf "after %d" d
+    in
+    Printf.sprintf "%s {%s}" w (String.concat "; " (List.map show_op body))
+  | Cancel n -> Printf.sprintf "cancel #%d" n
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run ~until:now+%d" d
+
+(* The firing sequence, with the clock and the pending count at every
+   event and after every top-level operation. *)
+module Interp (S : SIM) = struct
+  let run sim prog =
+    let handles = Hashtbl.create 64 and made = ref 0 and log = ref [] in
+    let observe what = log := (what, S.now sim, S.pending sim) :: !log in
+    let rec exec = function
+      | Schedule (w, body) ->
+        let id = !made in
+        incr made;
+        let fn () =
+          observe (Printf.sprintf "fire %d" id);
+          List.iter exec body
+        in
+        let now = S.now sim in
+        Hashtbl.replace handles id
+          (match w with
+          | At_now -> S.at sim now fn
+          | At d -> S.at sim (now + d) fn
+          | After_zero -> S.after sim 0 fn
+          | After d -> S.after sim d fn)
+      | Cancel n ->
+        if !made > 0 then S.cancel (Hashtbl.find handles (n mod !made))
+      | Step -> observe (Printf.sprintf "step %b" (S.step sim))
+      | Run_until d ->
+        S.run ~until:(S.now sim + d) sim;
+        observe "run"
+    in
+    List.iter
+      (fun op ->
+        exec op;
+        observe "op")
+      prog;
+    (* A cancelled far-future event as the last entry in the queue. *)
+    exec (Schedule (At (Time.sec 100), []));
+    exec (Cancel (!made - 1));
+    S.run sim;
+    observe "drained";
+    List.rev !log
+end
+
+module Sim_run = Interp (Sim)
+module Model_run = Interp (Model)
+
+let gen_program =
+  let open QCheck.Gen in
+  let timing =
+    frequency
+      [ (3, return At_now);
+        (3, return After_zero);
+        (2, map (fun d -> At d) (int_range 1 8));
+        (2, map (fun d -> After d) (int_range 1 8)) ]
+  in
+  let cancel = map (fun n -> Cancel n) (int_bound 1000) in
+  let rec body depth =
+    if depth = 0 then return []
+    else
+      list_size (int_bound 2)
+        (frequency
+           [ (3, map2 (fun w b -> Schedule (w, b)) timing (body (depth - 1)));
+             (1, cancel) ])
+  in
+  list_size (int_range 1 40)
+    (frequency
+       [ (4, map2 (fun w b -> Schedule (w, b)) timing (body 2));
+         (2, cancel);
+         (3, return Step);
+         (1, map (fun d -> Run_until d) (int_bound 10)) ])
+
+let sim_matches_model =
+  QCheck.Test.make ~name:"sim fires in the heap-only model's order" ~count:500
+    (QCheck.make gen_program ~print:(fun p ->
+         String.concat "\n" (List.map show_op p)))
+    (fun prog ->
+      Sim_run.run (Sim.create ()) prog = Model_run.run (Model.create ()) prog)
 
 (* --- Proc --- *)
 
@@ -377,7 +600,12 @@ let suite =
         Alcotest.test_case "same-instant FIFO" `Quick sim_same_instant_fifo;
         Alcotest.test_case "cancellation" `Quick sim_cancel;
         Alcotest.test_case "run ~until" `Quick sim_until;
-        Alcotest.test_case "scheduling in the past" `Quick sim_past_raises ] );
+        Alcotest.test_case "scheduling in the past" `Quick sim_past_raises;
+        Alcotest.test_case "cancelled tail leaves the clock" `Quick
+          sim_cancelled_tail;
+        Alcotest.test_case "zero-delay wake allocates only its handle" `Quick
+          sim_zero_delay_allocation;
+        qtest sim_matches_model ] );
     ( "engine.proc",
       [ Alcotest.test_case "sleep advances time" `Quick proc_sleep;
         Alcotest.test_case "join" `Quick proc_join;
