@@ -381,7 +381,8 @@ let crash_recover_end_to_end () =
   check "bystanders unperturbed" 0 r.Experiments.Crash_recover.clean_violations;
   checkb "pages restored on restart" true
     (r.Experiments.Crash_recover.total_restored > 0);
-  checkb "verdict ok" true (Experiments.Crash_recover.ok r)
+  checkb "verdict ok" true (Experiments.Crash_recover.ok r);
+  Golden.check ~file:"crash_seed11.json" (Experiments.Crash_recover.to_json r)
 
 let suite =
   [ ( "crash.journal",

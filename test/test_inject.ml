@@ -445,6 +445,7 @@ let chaos_deterministic () =
   let j2, m2, _ = go () in
   checks "identical chaos verdicts" j1 j2;
   checks "identical metric registries" m1 m2;
+  Golden.check ~file:"chaos_seed11.json" j1;
   checkb "books balance" true r1.Experiments.Chaos.accounted;
   checkb "doomed domain killed" true r1.Experiments.Chaos.doomed_killed;
   checkb "doomed frames reclaimed" true

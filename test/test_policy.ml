@@ -690,7 +690,8 @@ let policy_compare_smoke () =
     row.Experiments.Policy_compare.miss_rate
   in
   checkb "read-ahead cuts the sequential miss rate" true
-    (miss "fifo+ra8" "seq" < miss "fifo" "seq")
+    (miss "fifo+ra8" "seq" < miss "fifo" "seq");
+  Golden.check ~file:"policy_20s.json" (Experiments.Policy_compare.to_json r)
 
 let suite =
   [ ( "policy.replacement",

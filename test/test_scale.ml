@@ -554,7 +554,8 @@ let scale_deterministic () =
     Experiments.Scale.to_json
       (Experiments.Scale.run ~seed:7 ~domains:6 ~duration:(Time.sec 3) ())
   in
-  Alcotest.(check string) "same seed, byte-identical record" j1 j2
+  Alcotest.(check string) "same seed, byte-identical record" j1 j2;
+  Golden.check ~file:"scale_seed7.json" j1
 
 let scale_verdict () =
   let r = Experiments.Scale.run ~domains:32 ~duration:(Time.sec 30) () in

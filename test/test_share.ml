@@ -228,7 +228,8 @@ let test_tenancy_deterministic () =
   in
   let a = go () in
   let b = go () in
-  Alcotest.(check string) "same seed, byte-identical report" a b
+  Alcotest.(check string) "same seed, byte-identical report" a b;
+  Golden.check ~file:"tenancy_seed11.json" a
 
 (* The default Sd_paged path must be untouched by the new layer: a
    tenancy control run with sharing and the compressed tier both off
