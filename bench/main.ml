@@ -244,111 +244,54 @@ let run_bechamel () =
 
 (* --- Part 2: the paper's tables and figures ------------------------ *)
 
-let run_experiments () =
-  Experiments.Table1.print (Experiments.Table1.run ());
+let run_experiments () = Experiments.Catalog.paper_runs 240
+
+(* The verdicts below each print their report and leave a
+   machine-readable record next to it (no trailing newline), so a
+   regression shows up as a JSON diff across revisions. *)
+let write_record path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Printf.printf "wrote %s\n%!" path
+
+let record path ~print ~to_json r =
+  print r;
   flush stdout;
-  let r7 = Experiments.Paging_fig.run ~duration:(Time.sec 240) () in
-  Experiments.Paging_fig.print r7;
-  Experiments.Paging_fig.print_series r7;
-  Experiments.Paging_fig.print_trace r7;
-  flush stdout;
-  let r8 =
-    Experiments.Paging_fig.run ~mode:Workload.Paging_app.Paging_out
-      ~duration:(Time.sec 240) ()
-  in
-  Experiments.Paging_fig.print r8;
-  Experiments.Paging_fig.print_series r8;
-  Experiments.Paging_fig.print_trace r8;
-  flush stdout;
-  let r9 = Experiments.Fig9.run ~duration:(Time.sec 120) () in
-  Experiments.Fig9.print r9;
-  Experiments.Fig9.print_series r9;
-  flush stdout;
-  Experiments.Crosstalk.print
-    (Experiments.Crosstalk.run ~duration:(Time.sec 180) ());
-  flush stdout;
-  Experiments.Net_iso.print_shares (Experiments.Net_iso.run_shares ());
-  Experiments.Net_iso.print_kernel_crosstalk
-    (Experiments.Net_iso.run_kernel_crosstalk ~duration:(Time.sec 60) ());
-  flush stdout;
-  Experiments.Ablations.print_laxity
-    (Experiments.Ablations.run_laxity ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_laxity_sweep
-    (Experiments.Ablations.run_laxity_sweep ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_rollover
-    (Experiments.Ablations.run_rollover ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_pt (Experiments.Ablations.run_pt ());
-  Experiments.Ablations.print_slack
-    (Experiments.Ablations.run_slack ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_stream
-    (Experiments.Ablations.run_stream ~duration:(Time.sec 170) ());
-  Experiments.Ablations.print_revoke (Experiments.Ablations.run_revoke ());
-  flush stdout
+  write_record path (to_json r)
 
 (* --- Part 3: the policy-compare figure ----------------------------- *)
 
-(* Runs the paging figure once per (policy x pattern) cell and leaves a
-   machine-readable record next to the text report, so policy
-   regressions show up as a JSON diff. *)
+(* Runs the paging figure once per (policy x pattern) cell. *)
 let run_policy () =
-  let r = Experiments.Policy_compare.run ~duration:(Time.sec 60) () in
-  Experiments.Policy_compare.print r;
-  flush stdout;
-  let path = "BENCH_policy.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Policy_compare.to_json r));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Policy_compare in
+  record "BENCH_policy.json" ~print ~to_json (run ~duration:(Time.sec 60) ())
 
 (* --- Part 4: the chaos verdict ------------------------------------- *)
 
-(* One seeded fault-injection run; the JSON record keeps the verdict
-   (clean-domain isolation, recovery accounting, revocation outcome)
-   diffable across revisions. *)
+(* One seeded fault-injection run; the record keeps the verdict
+   (clean-domain isolation, recovery accounting, revocation outcome). *)
 let run_chaos () =
-  let r = Experiments.Chaos.run ~duration:(Time.sec 30) () in
-  Experiments.Chaos.print r;
-  flush stdout;
-  let path = "BENCH_chaos.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Chaos.to_json r));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Chaos in
+  record "BENCH_chaos.json" ~print ~to_json (run ~duration:(Time.sec 30) ())
 
 (* --- Part 5: the crash-recovery verdict ---------------------------- *)
 
-(* Seeded crash/remount/restart rounds; the JSON record keeps the
-   recovery accounting (records replayed, torn records quarantined,
-   pages restored vs lost) diffable across revisions. *)
+(* Seeded crash/remount/restart rounds; the record keeps the recovery
+   accounting (records replayed, torn records quarantined, pages
+   restored vs lost). *)
 let run_crash () =
-  let r = Experiments.Crash_recover.run () in
-  Experiments.Crash_recover.print r;
-  flush stdout;
-  let path = "BENCH_crash.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Crash_recover.to_json r));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Crash_recover in
+  record "BENCH_crash.json" ~print ~to_json (run ())
 
 (* --- Part 5b: the remote-paging verdict ----------------------------- *)
 
 (* Tiered vs disk-only backing, per access pattern, fault-free: the
-   JSON record keeps throughput and fault-service latency side by
-   side, with the headline verdict that the disaggregated tier beats
-   the disk on the cacheable (hotspot) working set. *)
+   record keeps throughput and fault-service latency side by side,
+   with the headline verdict that the disaggregated tier beats the
+   disk on the cacheable (hotspot) working set. *)
 let run_remote () =
-  let r = Experiments.Remote_page.bench ~duration:(Time.sec 30) () in
-  Experiments.Remote_page.bench_print r;
-  flush stdout;
-  let path = "BENCH_remote.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Remote_page.bench_to_json r));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Remote_page in
+  record "BENCH_remote.json" ~print:bench_print ~to_json:bench_to_json
+    (bench ~duration:(Time.sec 30) ())
 
 (* --- Part 5b': the failover verdict --------------------------------- *)
 
@@ -359,15 +302,9 @@ let run_remote () =
    most 2x the healthy remote path and stays far from the disk —
    replication turns node loss into a latency event, not a cliff. *)
 let run_failover () =
-  let r = Experiments.Failover.bench ~duration:(Time.sec 30) () in
-  Experiments.Failover.bench_print r;
-  flush stdout;
-  let path = "BENCH_failover.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Failover.bench_to_json r));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Failover in
+  record "BENCH_failover.json" ~print:bench_print ~to_json:bench_to_json
+    (bench ~duration:(Time.sec 30) ())
 
 (* --- Part 5b'': the erasure verdict --------------------------------- *)
 
@@ -377,24 +314,18 @@ let run_failover () =
    path, degraded reads stay at least 5x below the disk, and the
    stripe holds 1.5x the page's bytes where replication holds 2x. *)
 let run_erasure () =
-  let r = Experiments.Erasure.bench ~duration:(Time.sec 30) () in
-  Experiments.Erasure.bench_print r;
-  flush stdout;
-  let path = "BENCH_erasure.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Erasure.bench_to_json r));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Erasure in
+  record "BENCH_erasure.json" ~print:bench_print ~to_json:bench_to_json
+    (bench ~duration:(Time.sec 30) ())
 
 (* --- Part 5c: the sharing / stacked-pager verdict ------------------- *)
 
 (* The 32-tenant CoW fleet against its unshared control arm (same
-   workload, no template sharing, no compressed tier). The JSON record
+   workload, no template sharing, no compressed tier). The record
    keeps the resident-frame savings, the CoW-break latency and the
-   compressed-tier hit economics diffable across revisions. Headline
-   claims: sharing cuts resident frames at least 2x for the fleet, and
-   a zram page-in is at least 10x cheaper than a disk page-in. *)
+   compressed-tier hit economics. Headline claims: sharing cuts
+   resident frames at least 2x for the fleet, and a zram page-in is at
+   least 10x cheaper than a disk page-in. *)
 let run_share () =
   let open Experiments.Tenancy in
   let shared = run ~duration:(Time.sec 40) () in
@@ -434,23 +365,16 @@ let run_share () =
   Printf.printf "CoW break: mean %.1f us, p95 <= %.1f us over %d breaks\n"
     shared.break_mean_us shared.break_p95_us shared.cow_breaks;
   flush stdout;
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"shared\": ";
-  Buffer.add_string b (to_json shared);
-  Buffer.add_string b ",\n  \"control\": ";
-  Buffer.add_string b (to_json control);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\n  \"frame_savings_x\": %.2f,\n  \"fleet_vs_control_x\": %.2f,\n  \
-        \"zram_speedup_x\": %.1f,\n  \"ok\": %b\n}"
-       savings fleet_quotient speedup
-       (savings_ok && speedup_ok && ok shared && ok control));
-  let path = "BENCH_share.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents b));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Report.Json in
+  write_record "BENCH_share.json"
+    (record
+       [ [ ("shared", embed (to_json shared)) ];
+         [ ("control", embed (to_json control)) ];
+         [ ("frame_savings_x", num 2 savings) ];
+         [ ("fleet_vs_control_x", num 2 fleet_quotient) ];
+         [ ("zram_speedup_x", num 1 speedup) ];
+         [ ( "ok",
+             bool (savings_ok && speedup_ok && ok shared && ok control) ) ] ])
 
 (* --- Part 6: the scale-out benches --------------------------------- *)
 
@@ -597,7 +521,7 @@ let run_scale () =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols instance raw in
-  let rows = ref [] in
+  let micro = ref [] in
   Hashtbl.iter
     (fun name ols_result ->
       let ns =
@@ -605,13 +529,13 @@ let run_scale () =
         | Some (est :: _) -> est
         | _ -> Float.nan
       in
-      rows := (name, ns) :: !rows)
+      micro := (name, ns) :: !micro)
     results;
-  let rows = List.sort compare !rows in
+  let micro = List.sort compare !micro in
   Experiments.Report.heading
     "Scale micro-benchmarks (wall-clock, Bechamel OLS ns/op)";
   Experiments.Report.table ~header:[ "operation"; "ns/op" ]
-    (List.map (fun (n, ns) -> [ n; Printf.sprintf "%.1f" ns ]) rows);
+    (List.map (fun (n, ns) -> [ n; Printf.sprintf "%.1f" ns ]) micro);
   print_newline ();
   print_endline
     "Shape checks (wall-clock): the seed-list baselines grow linearly";
@@ -624,24 +548,15 @@ let run_scale () =
   let r = Experiments.Scale.run ~domains:32 ~duration:(Time.sec 30) () in
   Experiments.Scale.print r;
   flush stdout;
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"micro_ns_per_op\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": %S, \"ns\": %s}%s\n" name
-           (if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n  \"end_to_end\": ";
-  Buffer.add_string b (Experiments.Scale.to_json r);
-  Buffer.add_string b "\n}";
-  let path = "BENCH_scale.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents b));
-  Printf.printf "wrote %s\n%!" path
+  let open Experiments.Report.Json in
+  write_record "BENCH_scale.json"
+    (record
+       [ [ ( "micro_ns_per_op",
+             rows ~indent:4
+               (List.map
+                  (fun (name, ns) -> obj [ ("name", str name); ("ns", jf ns) ])
+                  micro) ) ];
+         [ ("end_to_end", embed (Experiments.Scale.to_json r)) ] ])
 
 let () =
   match Sys.argv with

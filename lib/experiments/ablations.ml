@@ -2,6 +2,12 @@ open Engine
 open Core
 open Workload
 
+let experiment = "ablations"
+
+(* Setup failures carry the ablation and the failing step as context. *)
+let expect ablation step msg r =
+  Harness.expect ~experiment ~context:(("ablation", ablation) :: step) msg r
+
 (* --- A-laxity ------------------------------------------------------ *)
 
 type laxity_result = {
@@ -116,23 +122,15 @@ let share_of_client trace name ~duration =
 let run_rollover_one ~rollover ~duration =
   let sys = Harness.fresh_system ~usd_rollover:rollover () in
   let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 25) () in
-  (match
-     Paging_app.start sys ~name:"hog" ~mode:Paging_app.Paging_out ~qos ()
-   with
-  | Ok _ -> ()
-  | Error e ->
-    Harness.fail_verdict ~experiment:"ablations"
-      ~context:[ ("ablation", "A-rollover"); ("app", "hog") ]
-      e);
+  ignore
+    (Paging_app.start sys ~name:"hog" ~mode:Paging_app.Paging_out ~qos ()
+    |> expect "A-rollover" [ ("app", "hog") ] Fun.id);
   (* A competitor so that exceeding the guarantee actually takes time
      away from someone. *)
   let fq = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) () in
-  (match Fs_client.start sys ~name:"fs" ~qos:fq () with
-  | Ok _ -> ()
-  | Error e ->
-    Harness.fail_verdict ~experiment:"ablations"
-      ~context:[ ("ablation", "A-rollover"); ("app", "fs") ]
-      e);
+  ignore
+    (Fs_client.start sys ~name:"fs" ~qos:fq ()
+    |> expect "A-rollover" [ ("app", "fs") ] Fun.id);
   System.run sys ~until:duration;
   share_of_client (Usbs.Usd.trace (System.usd sys)) "hog.swap" ~duration
 
@@ -215,14 +213,9 @@ let run_slack ?(duration = Time.sec 120) () =
             Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms slice_ms)
               ~extra ()
           in
-          match
+          ( name,
             Paging_app.start sys ~name ~mode:Paging_app.Paging_in ~qos ()
-          with
-          | Ok a -> (name, a)
-          | Error e ->
-            Harness.fail_verdict ~experiment:"ablations"
-              ~context:[ ("ablation", "A-slack"); ("app", name) ]
-              (name ^ ": " ^ e))
+            |> expect "A-slack" [ ("app", name) ] (( ^ ) (name ^ ": ")) ))
         specs
     in
     System.run sys ~until:duration;
@@ -280,16 +273,9 @@ let run_stream ?(duration = Time.sec 170) () =
     let sys = Harness.fresh_system () in
     let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 25) () in
     let app =
-      match
-        Paging_app.start sys ~name:"app" ~mode:Paging_app.Paging_in ~qos
-          ~phys_frames:(2 + (2 * readahead)) ~readahead ()
-      with
-      | Ok a -> a
-      | Error e ->
-        Harness.fail_verdict ~experiment:"ablations"
-          ~context:
-            [ ("ablation", "A-stream"); ("readahead", string_of_int readahead) ]
-          e
+      Paging_app.start sys ~name:"app" ~mode:Paging_app.Paging_in ~qos
+        ~phys_frames:(2 + (2 * readahead)) ~readahead ()
+      |> expect "A-stream" [ ("readahead", string_of_int readahead) ] Fun.id
     in
     System.run sys ~until:duration;
     let txns = ref 0 in
@@ -334,50 +320,34 @@ type revoke_result = {
    (forcing intrusive revocation with disk cleaning) or sit unused in
    the driver pool (transparent revocation). *)
 let make_hoarder sys ~name ~mapped ~pages =
-  match
+  let revoke stage msg r = expect "A-revoke" [ stage ] msg r in
+  let d =
     System.add_domain sys ~name ~guarantee:2 ~optimistic:pages ()
-  with
-  | Error e ->
-    Harness.fail_verdict ~experiment:"ablations"
-      ~context:[ ("ablation", "A-revoke"); ("domain", name) ]
-      (System.error_message e)
-  | Ok d ->
-    (match System.alloc_stretch d ~bytes:(pages * Hw.Addr.page_size) () with
-    | Error e ->
-      Harness.fail_verdict ~experiment:"ablations"
-        ~context:[ ("ablation", "A-revoke"); ("stage", "alloc_stretch") ]
-        e
-    | Ok stretch ->
-      if mapped then begin
-        (* Paged backing: revoked pages are dirty and must be cleaned
-           to the USBS first, which is why the protocol's deadline is
-           generous. *)
-        let qos =
-          Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) ()
-        in
-        Harness.run_in_sim sys (fun () ->
-            (match
-               System.bind_paged d ~swap_bytes:(2 * pages * Hw.Addr.page_size)
-                 ~qos stretch ()
-             with
-            | Ok _ -> ()
-            | Error e ->
-              Harness.fail_verdict ~experiment:"ablations"
-                ~context:[ ("ablation", "A-revoke"); ("stage", "bind_paged") ]
-                (System.error_message e));
-            for i = 0 to pages - 1 do
-              Domains.access d.System.dom (Stretch.page_base stretch i) `Write
-            done)
-      end
-      else begin
-        match System.bind_physical d ~prealloc:pages stretch with
-        | Ok _ -> ()
-        | Error e ->
-          Harness.fail_verdict ~experiment:"ablations"
-            ~context:[ ("ablation", "A-revoke"); ("stage", "bind_physical") ]
-            (System.error_message e)
-      end;
-      d)
+    |> revoke ("domain", name) System.error_message
+  in
+  let stretch =
+    System.alloc_stretch d ~bytes:(pages * Hw.Addr.page_size) ()
+    |> revoke ("stage", "alloc_stretch") Fun.id
+  in
+  if mapped then begin
+    (* Paged backing: revoked pages are dirty and must be cleaned to
+       the USBS first, which is why the protocol's deadline is
+       generous. *)
+    let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) () in
+    Harness.run_in_sim sys (fun () ->
+        ignore
+          (System.bind_paged d ~swap_bytes:(2 * pages * Hw.Addr.page_size)
+             ~qos stretch ()
+          |> revoke ("stage", "bind_paged") System.error_message);
+        for i = 0 to pages - 1 do
+          Domains.access d.System.dom (Stretch.page_base stretch i) `Write
+        done)
+  end
+  else
+    ignore
+      (System.bind_physical d ~prealloc:pages stretch
+      |> revoke ("stage", "bind_physical") System.error_message);
+  d
 
 let run_revoke () =
   (* 1 MB of main memory = 128 frames: small enough to contend. *)
@@ -389,12 +359,8 @@ let run_revoke () =
       Frames.set_revocation_handler hoarder.System.frames_client
         (fun ~k:_ ~deadline:_ -> ());
     let requester =
-      match System.add_domain sys ~name:"requester" ~guarantee:30 ~optimistic:0 () with
-      | Ok d -> d
-      | Error e ->
-        Harness.fail_verdict ~experiment:"ablations"
-          ~context:[ ("ablation", "A-revoke"); ("domain", "requester") ]
-          (System.error_message e)
+      System.add_domain sys ~name:"requester" ~guarantee:30 ~optimistic:0 ()
+      |> expect "A-revoke" [ ("domain", "requester") ] System.error_message
     in
     let sim = System.sim sys in
     let got, latency =

@@ -28,13 +28,7 @@ let write_csv path rows =
         rows);
   Printf.printf "wrote %s\n" path
 
-let paging_csv (r : Paging_fig.result) =
-  List.concat_map
-    (fun (a : Paging_fig.app_report) ->
-      List.map
-        (fun (t, v) -> (a.Paging_fig.app_name, Time.to_sec t, v))
-        a.Paging_fig.series)
-    r.Paging_fig.apps
+let csv_rows name = List.map (fun (t, v) -> (name, Time.to_sec t, v))
 
 (* --- parameter values ------------------------------------------------ *)
 
@@ -49,9 +43,6 @@ type ctx = (string * value) list
 
 let geti ctx name ~default =
   match List.assoc_opt name ctx with Some (I i) -> i | _ -> default
-
-let getf ctx name ~default =
-  match List.assoc_opt name ctx with Some (F f) -> f | _ -> default
 
 let getb ctx name =
   match List.assoc_opt name ctx with Some (Bool b) -> b | _ -> false
@@ -144,13 +135,47 @@ let verdict ctx ~print ~to_json ~ok r =
   Option.iter (fun path -> write_file path (to_json r)) (gets ctx "json");
   ok r
 
-let run_fig ?mode ~d ctx =
-  let r = Paging_fig.run ?mode ~duration:(duration ctx ~default:d) () in
+let seed ctx = geti ctx "seed" ~default:42
+
+let print_fig r =
   Paging_fig.print r;
   Paging_fig.print_series r;
-  Paging_fig.print_trace r;
-  Option.iter (fun path -> write_csv path (paging_csv r)) (gets ctx "csv");
+  Paging_fig.print_trace r
+
+let run_fig ?mode ~d ctx =
+  let r = Paging_fig.run ?mode ~duration:(duration ctx ~default:d) () in
+  print_fig r;
+  Option.iter
+    (fun path ->
+      write_csv path
+        (List.concat_map
+           (fun (a : Paging_fig.app_report) -> csv_rows a.app_name a.series)
+           r.apps))
+    (gets ctx "csv");
   true
+
+let paper_runs d =
+  List.iter
+    (fun run ->
+      run ();
+      flush stdout)
+    [ (fun () -> Table1.print (Table1.run ()));
+      (fun () -> print_fig (Paging_fig.run ~duration:(sec d) ()));
+      (fun () ->
+        print_fig
+          (Paging_fig.run ~mode:Workload.Paging_app.Paging_out
+             ~duration:(sec d) ()));
+      (fun () ->
+        let r = Fig9.run ~duration:(sec (min d 120)) () in
+        Fig9.print r;
+        Fig9.print_series r);
+      (fun () ->
+        Crosstalk.print (Crosstalk.run ~duration:(sec (min d 180)) ()));
+      (fun () ->
+        Net_iso.print_shares (Net_iso.run_shares ());
+        Net_iso.print_kernel_crosstalk
+          (Net_iso.run_kernel_crosstalk ~duration:(sec (min d 60)) ()));
+      (fun () -> List.iter (run_ablation (min d 120)) ablation_names) ]
 
 let () =
   let reg name doc ?(params = []) ~modules e_run =
@@ -183,15 +208,9 @@ let () =
       Fig9.print_series r;
       Option.iter
         (fun path ->
-          let rows =
-            List.map
-              (fun (t, v) -> ("fs_alone", Time.to_sec t, v))
-              r.Fig9.alone_series
-            @ List.map
-                (fun (t, v) -> ("fs_contended", Time.to_sec t, v))
-                r.Fig9.contended_series
-          in
-          write_csv path rows)
+          write_csv path
+            (csv_rows "fs_alone" r.Fig9.alone_series
+            @ csv_rows "fs_contended" r.Fig9.contended_series))
         (gets ctx "csv");
       true);
   reg "crosstalk" "External pager vs self-paging (Figure 2, quantified)"
@@ -267,9 +286,7 @@ let () =
     ~modules:[ "chaos" ]
     (fun ctx ->
       verdict ctx ~print:Chaos.print ~to_json:Chaos.to_json ~ok:Chaos.ok
-        (Chaos.run
-           ~seed:(geti ctx "seed" ~default:42)
-           ~duration:(duration ctx ~default:30) ()));
+        (Chaos.run ~seed:(seed ctx) ~duration:(duration ctx ~default:30) ()));
   reg "crash-recover"
     "Crash consistency and restart: tear the victim's writes at seeded \
      points (data extent and intent journal), remount and replay the \
@@ -285,10 +302,8 @@ let () =
     (fun ctx ->
       verdict ctx ~print:Crash_recover.print ~to_json:Crash_recover.to_json
         ~ok:Crash_recover.ok
-        (Crash_recover.run
-           ~seed:(geti ctx "seed" ~default:42)
-           ~rounds:(geti ctx "rounds" ~default:4)
-           ()));
+        (Crash_recover.run ~seed:(seed ctx)
+           ~rounds:(geti ctx "rounds" ~default:4) ()));
   reg "remote"
     "Disaggregated memory: three tiered domains page through a \
      RAM-cache/remote-memory/disk backing store over a shared guaranteed \
@@ -303,8 +318,7 @@ let () =
     (fun ctx ->
       verdict ctx ~print:Remote_page.print ~to_json:Remote_page.to_json
         ~ok:Remote_page.ok
-        (Remote_page.run
-           ~seed:(geti ctx "seed" ~default:42)
+        (Remote_page.run ~seed:(seed ctx)
            ~duration:(duration ctx ~default:30) ()));
   reg "failover"
     "Replicated remote memory under node loss: three tiered domains page \
@@ -321,8 +335,7 @@ let () =
     (fun ctx ->
       verdict ctx ~print:Failover.print ~to_json:Failover.to_json
         ~ok:Failover.ok
-        (Failover.run
-           ~seed:(geti ctx "seed" ~default:42)
+        (Failover.run ~seed:(seed ctx)
            ~duration:(duration ctx ~default:30) ()));
   reg "erasure"
     "Erasure-coded remote memory under double node loss: tiered domains \
@@ -339,9 +352,7 @@ let () =
     ~modules:[ "erasure" ]
     (fun ctx ->
       verdict ctx ~print:Erasure.print ~to_json:Erasure.to_json ~ok:Erasure.ok
-        (Erasure.run
-           ~seed:(geti ctx "seed" ~default:42)
-           ~duration:(duration ctx ~default:30) ()));
+        (Erasure.run ~seed:(seed ctx) ~duration:(duration ctx ~default:30) ()));
   reg "scale"
     "Many-domain scale-out: admit 128 self-paging domains under tight CPU, \
      disk and memory admission control, refuse the 129th with a typed \
@@ -356,8 +367,7 @@ let () =
     ~modules:[ "scale" ]
     (fun ctx ->
       verdict ctx ~print:Scale.print ~to_json:Scale.to_json ~ok:Scale.ok
-        (Scale.run
-           ~seed:(geti ctx "seed" ~default:42)
+        (Scale.run ~seed:(seed ctx)
            ~domains:(geti ctx "domains" ~default:128)
            ~duration:(duration ctx ~default:60) ()));
   reg "tenancy"
@@ -381,8 +391,7 @@ let () =
     ~modules:[ "tenancy" ]
     (fun ctx ->
       verdict ctx ~print:Tenancy.print ~to_json:Tenancy.to_json ~ok:Tenancy.ok
-        (Tenancy.run
-           ~seed:(geti ctx "seed" ~default:42)
+        (Tenancy.run ~seed:(seed ctx)
            ~tenants:(geti ctx "tenants" ~default:32)
            ~duration:(duration ctx ~default:40)
            ~share:(not (getb ctx "no-share"))
@@ -393,24 +402,7 @@ let () =
     ~modules:[ "report" ]
     (fun ctx ->
       let d = geti ctx "duration" ~default:240 in
-      Table1.print (Table1.run ());
-      let r7 = Paging_fig.run ~duration:(sec d) () in
-      Paging_fig.print r7;
-      Paging_fig.print_series r7;
-      Paging_fig.print_trace r7;
-      let r8 =
-        Paging_fig.run ~mode:Workload.Paging_app.Paging_out ~duration:(sec d)
-          ()
-      in
-      Paging_fig.print r8;
-      Paging_fig.print_series r8;
-      Paging_fig.print_trace r8;
-      Fig9.print (Fig9.run ~duration:(sec (min d 120)) ());
-      Crosstalk.print (Crosstalk.run ~duration:(sec (min d 180)) ());
-      Net_iso.print_shares (Net_iso.run_shares ());
-      Net_iso.print_kernel_crosstalk
-        (Net_iso.run_kernel_crosstalk ~duration:(sec (min d 60)) ());
-      List.iter (run_ablation (min d 120)) ablation_names;
+      paper_runs d;
       Chaos.print (Chaos.run ~duration:(sec (min d 30)) ());
       Crash_recover.print (Crash_recover.run ());
       Remote_page.print (Remote_page.run ~duration:(sec (min d 30)) ());

@@ -2,19 +2,12 @@ open Engine
 open Hw
 open Core
 
-type domain_report = {
-  dr_name : string;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  victim : domain_report;
+  victim : Harness.domain_report;
   victim_info : Sd_paged.info;
-  cleans : domain_report list;
+  cleans : Harness.domain_report list;
   tally : Inject.tally;
   accounted : bool;
   injected_by_class : (string * int) list;
@@ -25,6 +18,7 @@ type result = {
   audit : Obs.Qos_audit.summary;
 }
 
+let experiment = "chaos"
 let page_blocks = Addr.page_size / 512
 
 (* The victim's injection plan, scoped to its swap extent
@@ -54,22 +48,8 @@ let plan_specs ~first ~nblocks =
     "pressure:period-ms=500,hold-ms=150" ]
 
 let plan_for ~seed ~first ~nblocks =
-  match Inject.plan_of_specs ~seed (plan_specs ~first ~nblocks) with
-  | Ok plan -> plan
-  | Error e -> Harness.fail_verdict ~experiment:"chaos" (Registry.error_message e)
-
-let start_app sys ~name ?policy ?spare_pages ?(optimistic = 0) () =
-  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 50) () in
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos ~vm_bytes:(1024 * 1024) ~phys_frames:8 ~optimistic
-      ~swap_bytes:(4 * 1024 * 1024) ?policy ?spare_pages ()
-  with
-  | Ok a -> a
-  (* Setup failwiths throughout: an experiment that cannot build its
-     world has no verdict to report. Spec resolution is typed and
-     funnelled through Harness.fail_verdict / plan_for. *)
-  | Error e -> failwith (Printf.sprintf "chaos: %s: %s" name e)
+  Inject.plan_of_specs ~seed (plan_specs ~first ~nblocks)
+  |> Harness.expect ~experiment Registry.error_message
 
 (* The doomed domain: hogs [hog_pages] mapped optimistic frames behind a
    physical driver, and its revocation handler — replacing the
@@ -77,24 +57,18 @@ let start_app sys ~name ?policy ?spare_pages ?(optimistic = 0) () =
    it misses the 100 ms deadline and flunks the protocol. *)
 let start_doomed sys =
   let hog_pages = 64 in
+  let fail = "chaos: doomed: " in
   let d =
-    match
-      System.add_domain sys ~name:"doomed" ~guarantee:2
-        ~optimistic:hog_pages ()
-    with
-    | Ok d -> d
-    | Error e -> failwith ("chaos: doomed: " ^ System.error_message e)
+    System.add_domain sys ~name:"doomed" ~guarantee:2 ~optimistic:hog_pages ()
+    |> Harness.expect ~experiment (fun e -> fail ^ System.error_message e)
   in
   let s =
-    match
-      System.alloc_stretch d ~bytes:(hog_pages * Addr.page_size) ()
-    with
-    | Ok s -> s
-    | Error e -> failwith ("chaos: doomed: " ^ e)
+    System.alloc_stretch d ~bytes:(hog_pages * Addr.page_size) ()
+    |> Harness.expect ~experiment (fun e -> fail ^ e)
   in
-  (match System.bind_physical d s with
-  | Ok _ -> ()
-  | Error e -> failwith ("chaos: doomed: " ^ System.error_message e));
+  ignore
+    (System.bind_physical d s
+    |> Harness.expect ~experiment (fun e -> fail ^ System.error_message e));
   let sim = System.sim sys in
   ignore
     (Domains.spawn_thread d.System.dom ~name:"hog" (fun () ->
@@ -145,36 +119,24 @@ let start_press sys press =
            in
            loop ()))
 
-let report_of app name violations =
-  { dr_name = name;
-    dr_mbit = Workload.Paging_app.sustained_mbit app;
-    dr_accesses = Workload.Paging_app.measured_accesses app;
-    dr_violations = violations }
-
 let run ?(seed = 42) ?(duration = Time.sec 30) () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
-  let clean1 = start_app sys ~name:"clean1" () in
-  let clean2 = start_app sys ~name:"clean2" () in
+  let sys = Harness.tier_system ~seed in
+  let slice = Time.ms 50 in
+  let clean1 = Harness.start_app ~experiment sys ~slice ~name:"clean1" () in
+  let clean2 = Harness.start_app ~experiment sys ~slice ~name:"clean2" () in
   let wb =
-    match Policy.Spec.of_string "fifo+wb8" with
-    | Ok s -> s
-    | Error e -> failwith ("chaos: " ^ e)
+    Policy.Spec.of_string "fifo+wb8"
+    |> Harness.expect ~experiment (fun e -> "chaos: " ^ e)
   in
   let victim =
-    start_app sys ~name:"victim" ~policy:wb ~spare_pages:4 ~optimistic:12 ()
+    Harness.start_app ~experiment sys ~slice ~name:"victim" ~policy:wb
+      ~spare_pages:4 ~optimistic:12 ()
   in
   let doomed = start_doomed sys in
   let press =
-    match
-      Frames.admit (System.frames sys) ~domain:999 ~guarantee:215
-        ~optimistic:0
-    with
-    | Ok c -> c
-    | Error e -> failwith ("chaos: press: " ^ Frames.error_message e)
+    Frames.admit (System.frames sys) ~domain:999 ~guarantee:215 ~optimistic:0
+    |> Harness.expect ~experiment (fun e ->
+           "chaos: press: " ^ Frames.error_message e)
   in
   let first, nblocks = Workload.Paging_app.swap_extent victim in
   Inject.arm (plan_for ~seed ~first ~nblocks);
@@ -195,24 +157,21 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
     doomed_killed && !still_owned = 0
     && not (Frames.is_live doomed.System.frames_client)
   in
-  let viol app name =
-    Harness.violations_for ~names:[ name ]
-      ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
-  in
-  let c1 = viol clean1 "clean1" and c2 = viol clean2 "clean2" in
+  let report = Harness.domain_report ~pattern:"seq" ~tiered:false in
+  let cleans = [ report "clean1" clean1; report "clean2" clean2 ] in
   { seed;
     duration;
-    victim = report_of victim "victim" (viol victim "victim");
+    victim = report "victim" victim;
     victim_info = Workload.Paging_app.paging_info victim;
-    cleans =
-      [ report_of clean1 "clean1" c1; report_of clean2 "clean2" c2 ];
+    cleans;
     tally = Inject.tally ();
     accounted = Inject.accounted ();
     injected_by_class = Inject.by_class ();
     doomed_killed;
     doomed_frames_reclaimed;
     intrusive_revocations = Frames.revocations (System.frames sys);
-    clean_violations = c1 + c2;
+    clean_violations =
+      List.fold_left (fun n d -> n + d.Harness.dr_violations) 0 cleans;
     audit = Obs.Qos_audit.summarize () }
 
 let ok r =
@@ -227,7 +186,7 @@ let print r =
   Report.table
     ~header:[ "domain"; "Mbit/s"; "accesses"; "violations" ]
     (List.map
-       (fun d ->
+       (fun (d : Harness.domain_report) ->
          [ d.dr_name; Report.mbit_s d.dr_mbit; string_of_int d.dr_accesses;
            string_of_int d.dr_violations ])
        (r.victim :: r.cleans));
@@ -262,62 +221,41 @@ let print r =
     (if r.doomed_frames_reclaimed then "reclaimed" else "STILL OWNED");
   Report.audit_section "Chaos QoS audit" (Some r.audit);
   Printf.printf "clean-domain violations: %d\n" r.clean_violations;
-  print_endline
-    (if ok r then
-       "VERDICT: ok — clean domains unperturbed, every injected fault \
-        accounted for"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "clean domains unperturbed, every injected fault accounted for"
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  let t = r.tally in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"mbit_s\": %s, \"accesses\": %d, \"violations\": %d}"
-      d.dr_name
-      (Report.jf3 d.dr_mbit)
-      d.dr_accesses d.dr_violations
+  let open Report.Json in
+  let t = r.tally and i = r.victim_info in
+  let dom (d : Harness.domain_report) =
+    obj
+      [ ("name", str d.dr_name); ("mbit_s", jf3 d.dr_mbit);
+        ("accesses", int d.dr_accesses); ("violations", int d.dr_violations) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map dom (r.victim :: r.cleans))));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"injected\": {\"errors\": %d, \"spikes\": %d, \"stalls\": %d, \
-        \"chan_drops\": %d, \"chan_delays\": %d, \"pressure_bursts\": \
-        %d},\n"
-       t.Inject.injected_errors t.Inject.spikes t.Inject.stalls_injected
-       t.Inject.chan_drops t.Inject.chan_delays t.Inject.pressure_bursts);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"recovered\": {\"retried\": %d, \"remapped\": %d, \"degraded\": \
-        %d, \"killed\": %d},\n"
-       t.Inject.retried t.Inject.remapped t.Inject.degraded
-       t.Inject.killed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"accounted\": %b,\n" r.accounted);
-  let i = r.victim_info in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"victim_driver\": {\"lost_pages\": %d, \"rebloks\": %d, \
-        \"shed_frames\": %d, \"wb_degraded\": %b, \"swap_exhausted\": \
-        %b},\n"
-       i.Sd_paged.lost_pages i.Sd_paged.rebloks i.Sd_paged.shed_frames
-       i.Sd_paged.wb_degraded i.Sd_paged.swap_exhausted);
-  Buffer.add_string b
-    (Printf.sprintf "  \"doomed_killed\": %b,\n" r.doomed_killed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"doomed_frames_reclaimed\": %b,\n"
-       r.doomed_frames_reclaimed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"intrusive_revocations\": %d,\n"
-       r.intrusive_revocations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"clean_violations\": %d,\n" r.clean_violations);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" (ok r));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("duration_s", secs r.duration) ];
+      [ ("domains", list (List.map dom (r.victim :: r.cleans))) ];
+      [ ( "injected",
+          obj
+            [ ("errors", int t.injected_errors); ("spikes", int t.spikes);
+              ("stalls", int t.stalls_injected);
+              ("chan_drops", int t.chan_drops);
+              ("chan_delays", int t.chan_delays);
+              ("pressure_bursts", int t.pressure_bursts) ] ) ];
+      [ ( "recovered",
+          obj
+            [ ("retried", int t.retried); ("remapped", int t.remapped);
+              ("degraded", int t.degraded); ("killed", int t.killed) ] ) ];
+      [ ("accounted", bool r.accounted) ];
+      [ ( "victim_driver",
+          obj
+            [ ("lost_pages", int i.lost_pages); ("rebloks", int i.rebloks);
+              ("shed_frames", int i.shed_frames);
+              ("wb_degraded", bool i.wb_degraded);
+              ("swap_exhausted", bool i.swap_exhausted) ] ) ];
+      [ ("doomed_killed", bool r.doomed_killed) ];
+      [ ("doomed_frames_reclaimed", bool r.doomed_frames_reclaimed) ];
+      [ ("intrusive_revocations", int r.intrusive_revocations) ];
+      [ ("clean_violations", int r.clean_violations) ];
+      [ ("ok", bool (ok r)) ] ]

@@ -24,19 +24,13 @@
 open Engine
 open Core
 
-type domain_report = {
-  dr_name : string;
-  dr_mbit : float;  (** sustained throughput ([nan] if still warming) *)
-  dr_accesses : int;  (** page accesses in the measured loop *)
-  dr_violations : int;  (** QoS violations attributed to this domain *)
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  victim : domain_report;
+  victim : Harness.domain_report;
+      (** its JSON keeps four fields: name, Mbit/s, accesses, violations *)
   victim_info : Sd_paged.info;
-  cleans : domain_report list;
+  cleans : Harness.domain_report list;
   tally : Inject.tally;
   accounted : bool;
       (** every injected media error met exactly one recovery action *)
@@ -54,9 +48,6 @@ val plan_specs : first:int -> nblocks:int -> string list
     {!Inject.site_axis}), scoped to its swap extent — exposed so the
     registry tests can pin the spec route against the hand-built plan
     record. *)
-
-val plan_for : seed:int -> first:int -> nblocks:int -> Inject.plan
-(** {!plan_specs} resolved and applied to [{default_plan with seed}]. *)
 
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 (** Enables {!Obs}, resets collectors, arms the injection plan derived

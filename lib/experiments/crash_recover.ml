@@ -34,22 +34,20 @@ type result = {
    and the experiment would be measuring nothing. *)
 let journal_blocks = 8192
 
+let experiment = "crash-recover"
 let victim_pages = 48
 let victim_name = "victim"
 
 let qos () = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 50) ()
 
-let start_clean sys ~name =
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos:(qos ()) ~vm_bytes:(1024 * 1024) ~phys_frames:8 ~optimistic:0
-      ~swap_bytes:(4 * 1024 * 1024) ()
-  with
-  | Ok a -> a
-  | Error e ->
-    Harness.fail_verdict ~experiment:"crash-recover"
-      ~context:[ ("stage", "start_clean"); ("domain", name) ]
-      (Printf.sprintf "crash-recover: %s: %s" name e)
+(* Step the simulation until [ivar] is filled; bounded, so a setup step
+   that never completes cannot hang the experiment. *)
+let await sys ivar =
+  let sim = System.sim sys and fuel = ref 1_000_000 in
+  while Sync.Ivar.peek ivar = None && !fuel > 0 do
+    if Sim.step sim then decr fuel else fuel := 0
+  done;
+  Sync.Ivar.peek ivar
 
 (* Start (or restart) the victim: a continuous writer over a small
    stretch, restartable so its swapfile survives its death detached.
@@ -68,22 +66,16 @@ let start_victim sys ~restart spec_opt =
     | Some sp -> System.respawn sys sp
   in
   let d =
-    match d with
-    | Ok d -> d
-    | Error e ->
-      Harness.fail_verdict ~experiment:"crash-recover"
-        ~context:[ ("stage", "victim admission") ]
-        ("crash-recover: victim: " ^ System.error_message e)
+    Harness.expect ~experiment
+      ~context:[ ("stage", "victim admission") ]
+      (fun e -> "crash-recover: victim: " ^ System.error_message e)
+      d
   in
   let s =
-    match
-      System.alloc_stretch d ~bytes:(victim_pages * Addr.page_size) ()
-    with
-    | Ok s -> s
-    | Error e ->
-      Harness.fail_verdict ~experiment:"crash-recover"
-        ~context:[ ("stage", "victim stretch") ]
-        ("crash-recover: victim: " ^ e)
+    System.alloc_stretch d ~bytes:(victim_pages * Addr.page_size) ()
+    |> Harness.expect ~experiment
+         ~context:[ ("stage", "victim stretch") ]
+         (fun e -> "crash-recover: victim: " ^ e)
   in
   let started = Sync.Ivar.create () in
   ignore
@@ -116,20 +108,12 @@ let start_victim sys ~restart spec_opt =
              loop ()
            in
            loop ()));
-  let sim = System.sim sys in
-  let fuel = ref 1_000_000 in
-  while Sync.Ivar.peek started = None && !fuel > 0 do
-    if Sim.step sim then decr fuel else fuel := 0
-  done;
-  match Sync.Ivar.peek started with
-  | Some (Ok handle) -> (d, handle)
-  | Some (Error e) ->
-    Harness.fail_verdict ~experiment:"crash-recover"
-      ~context:[ ("stage", "victim bind") ]
-      ("crash-recover: victim: " ^ e)
+  let context = [ ("stage", "victim bind") ] in
+  match await sys started with
+  | Some r ->
+    (d, Harness.expect ~experiment ~context (( ^ ) "crash-recover: victim: ") r)
   | None ->
-    Harness.fail_verdict ~experiment:"crash-recover"
-      ~context:[ ("stage", "victim bind") ]
+    Harness.fail_verdict ~experiment ~context
       "crash-recover: victim setup did not complete"
 
 (* One seeded, one-shot crash point scoped to the victim's swap: any
@@ -138,20 +122,13 @@ let start_victim sys ~restart spec_opt =
    journal appends (same shared journal region) out of the blast
    radius — the crash models the *victim pager* dying mid-write. *)
 let crash_plan ~seed ~after ~first ~len =
-  { Inject.seed;
-    blok_faults = [];
-    regions = [];
+  { Inject.default_plan with
+    seed;
     crashes =
       [ { Inject.cp_after = after;
           cp_site = Some (victim_name ^ ".swap");
           cp_first = first;
-          cp_len = len } ];
-    stalls = [];
-    chans = [];
-    links = [];
-    pressure = None;
-    zpool_pressure = None;
-    node_faults = [] }
+          cp_len = len } ] }
 
 let run_for sys span =
   let sim = System.sim sys in
@@ -176,25 +153,16 @@ let run_until_dead sys dom ~bound =
 (* Remount must run on a simulation process: the journal scan is a
    timed read under the journal client's own guarantee. *)
 let remount_now sys =
-  let sfs = System.sfs sys in
-  let out = ref None in
-  let sim = System.sim sys in
+  let out = Sync.Ivar.create () in
   ignore
-    (Proc.spawn ~name:"remount" sim (fun () ->
-         out := Some (Usbs.Sfs.remount sfs)));
-  let fuel = ref 1_000_000 in
-  while !out = None && !fuel > 0 do
-    if Sim.step sim then decr fuel else fuel := 0
-  done;
-  match !out with
-  | Some (Ok st) -> st
-  | Some (Error e) ->
-    Harness.fail_verdict ~experiment:"crash-recover"
-      ~context:[ ("stage", "remount") ]
-      ("crash-recover: remount: " ^ e)
+    (Proc.spawn ~name:"remount" (System.sim sys) (fun () ->
+         Sync.Ivar.fill out (Usbs.Sfs.remount (System.sfs sys))));
+  let context = [ ("stage", "remount") ] in
+  match await sys out with
+  | Some r ->
+    Harness.expect ~experiment ~context (( ^ ) "crash-recover: remount: ") r
   | None ->
-    Harness.fail_verdict ~experiment:"crash-recover"
-      ~context:[ ("stage", "remount") ]
+    Harness.fail_verdict ~experiment ~context
       "crash-recover: remount did not complete"
 
 (* The idempotence check compares the journal-recovered state: the free
@@ -219,20 +187,20 @@ let recovered_part snap =
   |> String.concat "\n"
 
 let run ?(seed = 42) ?(rounds = 4) () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config =
-    { System.default_config with
-      seed;
-      main_memory_mb = 2;
-      sfs_journal_blocks = journal_blocks }
+  let sys =
+    Harness.observed_system
+      { System.default_config with
+        seed;
+        main_memory_mb = 2;
+        sfs_journal_blocks = journal_blocks }
   in
-  let sys = System.create ~config () in
   let sim = System.sim sys in
   let sfs = System.sfs sys in
-  let clean1 = start_clean sys ~name:"clean1" in
-  let clean2 = start_clean sys ~name:"clean2" in
+  let clean name =
+    Harness.start_app ~experiment sys ~slice:(Time.ms 50) ~name ()
+  in
+  let clean1 = clean "clean1" in
+  let clean2 = clean "clean2" in
   let victim = ref (start_victim sys ~restart:false None) in
   let vspec = System.spec (fst !victim) in
   (* Let everyone settle into steady state before the first crash. *)
@@ -253,7 +221,7 @@ let run ?(seed = 42) ?(rounds = 4) () =
     let crashes = (Inject.tally ()).Inject.crashes in
     Inject.disarm ();
     if not died then
-      Harness.fail_verdict ~experiment:"crash-recover"
+      Harness.fail_verdict ~experiment
         ~context:[ ("round", string_of_int r); ("target", target) ]
         "crash-recover: victim did not crash";
     (* Injection-free drain so the bystanders' in-flight work settles. *)
@@ -300,10 +268,6 @@ let run ?(seed = 42) ?(rounds = 4) () =
   done;
   (* Final drain, then the control group's verdict. *)
   run_for sys (Time.sec 1);
-  let viol app name =
-    Harness.violations_for ~names:[ name ]
-      ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
-  in
   let rounds_r = List.rev !reports in
   let sum f = List.fold_left (fun a r -> a + f r) 0 rounds_r in
   { seed;
@@ -312,7 +276,9 @@ let run ?(seed = 42) ?(rounds = 4) () =
     total_torn = sum (fun r -> r.rr_torn);
     total_restored = sum (fun r -> r.rr_restored);
     total_lost = sum (fun r -> r.rr_lost);
-    clean_violations = viol clean1 "clean1" + viol clean2 "clean2";
+    clean_violations =
+      Harness.app_violations "clean1" clean1
+      + Harness.app_violations "clean2" clean2;
     audit = Obs.Qos_audit.summarize () }
 
 let ok r =
@@ -349,35 +315,28 @@ let print r =
     r.total_replayed r.total_torn r.total_restored r.total_lost;
   Report.audit_section "Crash-recovery QoS audit" (Some r.audit);
   Printf.printf "clean-domain violations: %d\n" r.clean_violations;
-  print_endline
-    (if ok r then
-       "VERDICT: ok — no journal-committed page lost, recovery \
-        idempotent, bystanders unperturbed"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "no journal-committed page lost, recovery idempotent, bystanders \
+     unperturbed"
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
+  let open Report.Json in
   let round rr =
-    Printf.sprintf
-      "{\"round\": %d, \"target\": %S, \"crashes\": %d, \"replayed\": %d, \
-       \"torn\": %d, \"idempotent\": %b, \"committed\": %d, \"verified\": \
-       %d, \"lost\": %d, \"restored\": %d, \"revived\": %b}"
-      rr.rr_index rr.rr_target rr.rr_crashes rr.rr_replayed rr.rr_torn
-      rr.rr_idempotent rr.rr_committed rr.rr_verified rr.rr_lost
-      rr.rr_restored rr.rr_revived
+    obj
+      [ ("round", int rr.rr_index); ("target", str rr.rr_target);
+        ("crashes", int rr.rr_crashes); ("replayed", int rr.rr_replayed);
+        ("torn", int rr.rr_torn); ("idempotent", bool rr.rr_idempotent);
+        ("committed", int rr.rr_committed); ("verified", int rr.rr_verified);
+        ("lost", int rr.rr_lost); ("restored", int rr.rr_restored);
+        ("revived", bool rr.rr_revived) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"rounds\": [%s],\n"
-       (String.concat ", " (List.map round r.rounds)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"recovered\": {\"replayed\": %d, \"torn\": %d, \"restored\": \
-        %d, \"lost\": %d},\n"
-       r.total_replayed r.total_torn r.total_restored r.total_lost);
-  Buffer.add_string b
-    (Printf.sprintf "  \"clean_violations\": %d,\n" r.clean_violations);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" (ok r));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("rounds", list (List.map round r.rounds)) ];
+      [ ( "recovered",
+          obj
+            [ ("replayed", int r.total_replayed); ("torn", int r.total_torn);
+              ("restored", int r.total_restored); ("lost", int r.total_lost) ]
+        ) ];
+      [ ("clean_violations", int r.clean_violations) ];
+      [ ("ok", bool (ok r)) ] ]

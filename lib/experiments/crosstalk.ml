@@ -24,18 +24,18 @@ type result = { self_paging : config_result; external_pager : config_result }
 let heavy_bytes_vm = 4 * 1024 * 1024
 let light_bytes_vm = 1024 * 1024
 
-(* Setup failwiths throughout: a world that fails to construct leaves
-   nothing to measure, so it aborts rather than skewing the figure. *)
+let experiment = "crosstalk"
+
 let make_app sys ~name ~bytes =
-  match
+  let d =
     System.add_domain sys ~name ~cpu_period:(Time.ms 10)
       ~cpu_slice:(Time.of_ms_float 1.5) ~guarantee:2 ~optimistic:0 ()
-  with
-  | Error e -> failwith (name ^ ": " ^ System.error_message e)
-  | Ok d ->
-    (match System.alloc_stretch d ~bytes () with
-    | Error e -> failwith (name ^ ": " ^ e)
-    | Ok stretch -> (d, stretch))
+    |> Harness.expect ~experiment (fun e ->
+           name ^ ": " ^ System.error_message e)
+  in
+  ( d,
+    System.alloc_stretch d ~bytes ()
+    |> Harness.expect ~experiment (fun e -> name ^ ": " ^ e) )
 
 (* The light app: after init, every [burst_period] touch
    [burst_pages] consecutive pages (reads of swapped pages) and record
@@ -96,18 +96,15 @@ let run_config ~external_ ~duration ~burst_pages ~burst_period =
   let pager_cpu = ref (fun () -> 0.0) in
   if external_ then begin
     let pager =
-      match Baseline.External_pager.create sys () with
-      | Ok p -> p
-      | Error e -> failwith ("pager: " ^ e)
+      Baseline.External_pager.create sys ()
+      |> Harness.expect ~experiment (( ^ ) "pager: ")
     in
-    (match Baseline.External_pager.attach pager light_d light_s () with
-    | Ok _ -> ()
-    | Error e -> failwith ("attach light: " ^ e));
-    (match
-       Baseline.External_pager.attach pager heavy_d heavy_s ~forgetful:true ()
-     with
-    | Ok _ -> ()
-    | Error e -> failwith ("attach heavy: " ^ e));
+    ignore
+      (Baseline.External_pager.attach pager light_d light_s ()
+      |> Harness.expect ~experiment (( ^ ) "attach light: "));
+    ignore
+      (Baseline.External_pager.attach pager heavy_d heavy_s ~forgetful:true ()
+      |> Harness.expect ~experiment (( ^ ) "attach heavy: "));
     let pd = Baseline.External_pager.pager_domain pager in
     pager_cpu := fun () -> cpu_ms pd.System.dom
   end
@@ -118,12 +115,11 @@ let run_config ~external_ ~duration ~burst_pages ~burst_period =
       let qos =
         Usbs.Qos.make ~period:(Time.ms period_ms) ~slice:(Time.ms slice_ms) ()
       in
-      match
-        System.bind_paged d ~forgetful ~initial_frames:2
-          ~swap_bytes:(16 * 1024 * 1024) ~qos s ()
-      with
-      | Ok _ -> ()
-      | Error e -> failwith ("bind: " ^ System.error_message e)
+      ignore
+        (System.bind_paged d ~forgetful ~initial_frames:2
+           ~swap_bytes:(16 * 1024 * 1024) ~qos s ()
+        |> Harness.expect ~experiment (fun e ->
+               "bind: " ^ System.error_message e))
     in
     Harness.run_in_sim sys (fun () ->
         (* A CM-like client wants a short period so that a fresh

@@ -94,22 +94,12 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
   let domains = Harness.domain_reports apps in
   (* the disk durability floor the degraded path must beat: the
      bystanders' pooled fault-service latency over the same run *)
-  let disk_floor =
-    let count = ref 0 and sum = ref 0.0 in
-    List.iter
-      (fun d ->
-        if not d.Harness.dr_tiered then
-          match
-            Obs.Metrics.hist_view ~label:d.Harness.dr_name "fault.latency_us"
-          with
-          | Some v ->
-              count := !count + v.Obs.Metrics.hv_count;
-              sum :=
-                !sum
-                +. v.Obs.Metrics.hv_mean *. float_of_int v.Obs.Metrics.hv_count
-          | None -> ())
-      domains;
-    if !count = 0 then nan else !sum /. float_of_int !count
+  let _, disk_floor, _ =
+    Harness.pooled_faults
+      (List.filter_map
+         (fun (d : Harness.domain_report) ->
+           if d.dr_tiered then None else Some d.dr_name)
+         domains)
   in
   let degraded_count, degraded_mean =
     match Obs.Metrics.hist_view ~label:"fleet" "fleet.degraded_us" with
@@ -134,77 +124,56 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
     c_audit = Obs.Qos_audit.summarize () }
 
 let cell_to_json c =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "  {\"cell\": %S, \"mode\": %S,\n" c.c_name c.c_mode);
-  Buffer.add_string b
-    (Printf.sprintf "   \"domains\": %s,\n" (Harness.domains_json c.c_domains));
+  let open Report.Json in
   let f = c.c_fleet in
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"fleet\": {\"stores\": %d, \"acks\": %d, \"lost_primaries\": %d, \
-        \"failovers\": %d, \"rebuilds\": %d, \"disk_fallbacks\": %d, \
-        \"lost_shards\": %d, \"degraded_reads\": %d, \"reconstructions\": \
-        %d, \"corrupt_shards\": %d, \"migrations\": %d, \"node_joins\": %d, \
-        \"node_retires\": %d, \"quarantines\": %d, \"readmissions\": %d, \
-        \"wipes_applied\": %d, \"repair_rounds\": %d},\n"
-       f.Tier.Fleet.stores f.Tier.Fleet.acks f.Tier.Fleet.lost_primaries
-       f.Tier.Fleet.failovers f.Tier.Fleet.rebuilds
-       f.Tier.Fleet.disk_fallbacks f.Tier.Fleet.lost_shards
-       f.Tier.Fleet.degraded_reads f.Tier.Fleet.reconstructions
-       f.Tier.Fleet.corrupt_shards f.Tier.Fleet.migrations
-       f.Tier.Fleet.node_joins f.Tier.Fleet.node_retires
-       f.Tier.Fleet.quarantines f.Tier.Fleet.readmissions
-       f.Tier.Fleet.wipes_applied f.Tier.Fleet.repair_rounds);
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"member\": %b, \"used\": %d, \"capacity\": %d, \
-       \"quarantined\": %b, \"quarantines\": %d, \"stores\": %d, \
-       \"serves\": %d, \"failovers\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_member h.Tier.Fleet.nh_used
-      h.Tier.Fleet.nh_capacity h.Tier.Fleet.nh_quarantined
-      h.Tier.Fleet.nh_quarantines h.Tier.Fleet.nh_stores
-      h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
+    obj
+      [ ("name", str h.Tier.Fleet.nh_name); ("member", bool h.nh_member);
+        ("used", int h.nh_used); ("capacity", int h.nh_capacity);
+        ("quarantined", bool h.nh_quarantined);
+        ("quarantines", int h.nh_quarantines); ("stores", int h.nh_stores);
+        ("serves", int h.nh_serves); ("failovers", int h.nh_failovers) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "   \"nodes\": [%s],\n"
-       (String.concat ", " (List.map node c.c_health)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"books_balanced\": %b, \"lost_slots\": %d, \
-        \"storage_overhead\": %s,\n"
-       c.c_books_balanced c.c_lost_slots (Report.jf3 c.c_overhead));
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"degraded_reads\": %d, \"degraded_mean_us\": %s, \
-        \"disk_floor_us\": %s,\n"
-       c.c_degraded_count
-       (Report.jf c.c_degraded_mean_us)
-       (Report.jf c.c_disk_floor_us));
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"bystander_violations\": %d, \"tiered_violations\": %d}"
-       c.c_bystander_violations c.c_tiered_violations);
-  Buffer.contents b
+  obj_lines ~indent:3
+    [ [ ("cell", str c.c_name); ("mode", str c.c_mode) ];
+      [ ("domains", Harness.domains_json c.c_domains) ];
+      [ ( "fleet",
+          obj
+            [ ("stores", int f.stores); ("acks", int f.acks);
+              ("lost_primaries", int f.lost_primaries);
+              ("failovers", int f.failovers); ("rebuilds", int f.rebuilds);
+              ("disk_fallbacks", int f.disk_fallbacks);
+              ("lost_shards", int f.lost_shards);
+              ("degraded_reads", int f.degraded_reads);
+              ("reconstructions", int f.reconstructions);
+              ("corrupt_shards", int f.corrupt_shards);
+              ("migrations", int f.migrations);
+              ("node_joins", int f.node_joins);
+              ("node_retires", int f.node_retires);
+              ("quarantines", int f.quarantines);
+              ("readmissions", int f.readmissions);
+              ("wipes_applied", int f.wipes_applied);
+              ("repair_rounds", int f.repair_rounds) ] ) ];
+      [ ("nodes", list (List.map node c.c_health)) ];
+      [ ("books_balanced", bool c.c_books_balanced);
+        ("lost_slots", int c.c_lost_slots);
+        ("storage_overhead", jf3 c.c_overhead) ];
+      [ ("degraded_reads", int c.c_degraded_count);
+        ("degraded_mean_us", jf c.c_degraded_mean_us);
+        ("disk_floor_us", jf c.c_disk_floor_us) ];
+      [ ("bystander_violations", int c.c_bystander_violations);
+        ("tiered_violations", int c.c_tiered_violations) ] ]
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  Buffer.add_string b "  \"cells\": [\n";
-  Buffer.add_string b (cell_to_json r.replicated);
-  Buffer.add_string b ",\n";
-  Buffer.add_string b (cell_to_json r.erasure);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"degraded_vs_disk_speedup\": %s,\n"
-       (Report.jf r.speedup));
-  Buffer.add_string b
-    (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let open Report.Json in
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("duration_s", secs r.duration) ];
+      [ ( "cells",
+          rows ~indent:2 [ cell_to_json r.replicated; cell_to_json r.erasure ] )
+      ];
+      [ ("degraded_vs_disk_speedup", jf r.speedup) ];
+      [ ("deterministic", bool r.deterministic) ] ]
 
 (* Same-seed reproducibility is part of the verdict: both cells run
    twice — wipes, corruption dice, join, degraded reads, repair — and
@@ -220,12 +189,7 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
         ~redundancy:(Tier.Fleet.Erasure { k = 4; m = 2 })
     in
     let speedup =
-      if
-        Float.is_nan erasure.c_degraded_mean_us
-        || Float.is_nan erasure.c_disk_floor_us
-        || erasure.c_degraded_mean_us <= 0.
-      then nan
-      else erasure.c_disk_floor_us /. erasure.c_degraded_mean_us
+      Harness.ratio erasure.c_disk_floor_us erasure.c_degraded_mean_us
     in
     { seed; duration; replicated; erasure; speedup; deterministic = true }
   in
@@ -319,33 +283,18 @@ let print r =
     r.erasure.c_overhead r.replicated.c_overhead;
   Printf.printf "same-seed rerun: %s\n"
     (if r.deterministic then "byte-identical" else "DIVERGED");
-  print_endline
-    (if ok r then
-       "VERDICT: ok — two nodes lost, every read served from remote memory \
-        or the disk floor with zero committed pages lost, parity at 1.5x \
-        storage instead of 2x, books balance, reproducible"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "two nodes lost, every read served from remote memory or the disk floor \
+     with zero committed pages lost, parity at 1.5x storage instead of 2x, \
+     books balance, reproducible"
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark: the price of parity, healthy and degraded.               *)
 
-type bench_cell = {
-  bc_name : string;
-  bc_accesses : int;
-  bc_mean_us : float;
-  bc_half2_mean_us : float;
-  bc_fleet_hits : int;
-  bc_degraded : int;
-  bc_reconstructions : int;
-  bc_rebuilds : int;
-  bc_overhead : float;
-  bc_nodes : Tier.Fleet.node_health list;
-}
-
 type bench_result = {
   b_seed : int;
   b_duration : Time.span;
-  b_cells : bench_cell list;
+  b_cells : Harness.hot_run list;
   b_repl_us : float;
   b_ec_us : float;
   b_ec_wipe_us : float;
@@ -366,20 +315,8 @@ let bench_cell ~seed ~duration ~name ~redundancy ?(repair = true) ~wipe () =
     let _, n0, _ = List.hd nodes in
     (Tier.Fleet.create ~seed ~redundancy ~repair ~nodes (System.sim sys), n0)
   in
-  let h =
-    Harness.hot_run ~experiment ~cell:name ~seed ~duration
-      ~fleet:(Option.map fleet redundancy) ~wipe
-  in
-  { bc_name = name;
-    bc_accesses = h.Harness.h_accesses;
-    bc_mean_us = h.Harness.h_mean_us;
-    bc_half2_mean_us = h.Harness.h_half2_mean_us;
-    bc_fleet_hits = h.Harness.h_fleet_hits;
-    bc_degraded = h.Harness.h_fleet.Tier.Fleet.degraded_reads;
-    bc_reconstructions = h.Harness.h_fleet.Tier.Fleet.reconstructions;
-    bc_rebuilds = h.Harness.h_fleet.Tier.Fleet.rebuilds;
-    bc_overhead = h.Harness.h_overhead;
-    bc_nodes = h.Harness.h_health }
+  Harness.hot_run ~experiment ~cell:name ~seed ~duration
+    ~fleet:(Option.map fleet redundancy) ~wipe
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let disk =
@@ -401,36 +338,30 @@ let bench ?(seed = 42) ?(duration = Time.sec 30) () =
       ~redundancy:(Some (Tier.Fleet.Erasure { k = 4; m = 2 })) ~repair:false
       ~wipe:true ()
   in
-  let parity_price =
-    if
-      Float.is_nan repl.bc_half2_mean_us
-      || Float.is_nan ec.bc_half2_mean_us
-      || repl.bc_half2_mean_us <= 0.
-    then nan
-    else ec.bc_half2_mean_us /. repl.bc_half2_mean_us
-  in
+  let half2 (c : Harness.hot_run) = c.h_half2_mean_us in
+  let parity_price = Harness.ratio (half2 ec) (half2 repl) in
   let fin f = not (Float.is_nan f) in
   let okv =
     fin parity_price
-    && fin ec_wipe.bc_half2_mean_us
-    && fin disk.bc_half2_mean_us
-    && ec_wipe.bc_half2_mean_us <= 2.0 *. ec.bc_half2_mean_us
-    && disk.bc_half2_mean_us >= 5.0 *. ec_wipe.bc_half2_mean_us
-    && fin ec.bc_overhead
-    && ec.bc_overhead <= 1.55
-    && fin repl.bc_overhead
-    && repl.bc_overhead >= 1.9
+    && fin (half2 ec_wipe)
+    && fin (half2 disk)
+    && half2 ec_wipe <= 2.0 *. half2 ec
+    && half2 disk >= 5.0 *. half2 ec_wipe
+    && fin ec.h_overhead
+    && ec.h_overhead <= 1.55
+    && fin repl.h_overhead
+    && repl.h_overhead >= 1.9
   in
   { b_seed = seed;
     b_duration = duration;
     b_cells = [ disk; repl; ec; ec_wipe ];
-    b_repl_us = repl.bc_half2_mean_us;
-    b_ec_us = ec.bc_half2_mean_us;
-    b_ec_wipe_us = ec_wipe.bc_half2_mean_us;
-    b_disk_us = disk.bc_half2_mean_us;
+    b_repl_us = half2 repl;
+    b_ec_us = half2 ec;
+    b_ec_wipe_us = half2 ec_wipe;
+    b_disk_us = half2 disk;
     b_parity_price = parity_price;
-    b_ec_overhead = ec.bc_overhead;
-    b_repl_overhead = repl.bc_overhead;
+    b_ec_overhead = ec.h_overhead;
+    b_repl_overhead = repl.h_overhead;
     b_ok = okv }
 
 let bench_print r =
@@ -444,12 +375,13 @@ let bench_print r =
       [ "cell"; "accesses"; "mean us"; "2nd-half us"; "fleet hits";
         "degraded"; "rebuilds"; "overhead" ]
     (List.map
-       (fun c ->
-         [ c.bc_name; string_of_int c.bc_accesses; Report.us c.bc_mean_us;
-           Report.us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
-           string_of_int c.bc_degraded; string_of_int c.bc_rebuilds;
-           (if Float.is_nan c.bc_overhead then "-"
-            else Printf.sprintf "%.2fx" c.bc_overhead) ])
+       (fun (c : Harness.hot_run) ->
+         [ c.h_cell; string_of_int c.h_accesses; Report.us c.h_mean_us;
+           Report.us c.h_half2_mean_us; string_of_int c.h_fleet_hits;
+           string_of_int c.h_fleet.degraded_reads;
+           string_of_int c.h_fleet.rebuilds;
+           (if Float.is_nan c.h_overhead then "-"
+            else Printf.sprintf "%.2fx" c.h_overhead) ])
        r.b_cells);
   print_newline ();
   Printf.printf
@@ -460,45 +392,32 @@ let bench_print r =
     (if r.b_ok then "no disk-fallback cliff" else "CLIFF (or overhead off)")
 
 let bench_to_json r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.b_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.b_duration));
+  let open Report.Json in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"member\": %b, \"used\": %d, \"stores\": %d, \
-       \"serves\": %d, \"failovers\": %d, \"quarantines\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_member h.Tier.Fleet.nh_used
-      h.Tier.Fleet.nh_stores h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
-      h.Tier.Fleet.nh_quarantines
+    obj
+      [ ("name", str h.Tier.Fleet.nh_name); ("member", bool h.nh_member);
+        ("used", int h.nh_used); ("stores", int h.nh_stores);
+        ("serves", int h.nh_serves); ("failovers", int h.nh_failovers);
+        ("quarantines", int h.nh_quarantines) ]
   in
-  let cell c =
-    Printf.sprintf
-      "{\"cell\": %S, \"accesses\": %d, \"mean_us\": %s, \"half2_mean_us\": \
-       %s, \"fleet_hits\": %d, \"degraded_reads\": %d, \"reconstructions\": \
-       %d, \"rebuilds\": %d, \"storage_overhead\": %s, \"nodes\": [%s]}"
-      c.bc_name c.bc_accesses (Report.jf c.bc_mean_us)
-      (Report.jf c.bc_half2_mean_us)
-      c.bc_fleet_hits c.bc_degraded c.bc_reconstructions c.bc_rebuilds
-      (Report.jf3 c.bc_overhead)
-      (String.concat ", " (List.map node c.bc_nodes))
+  let cell (c : Harness.hot_run) =
+    let f = c.h_fleet in
+    obj
+      [ ("cell", str c.h_cell); ("accesses", int c.h_accesses);
+        ("mean_us", jf c.h_mean_us); ("half2_mean_us", jf c.h_half2_mean_us);
+        ("fleet_hits", int c.h_fleet_hits);
+        ("degraded_reads", int f.degraded_reads);
+        ("reconstructions", int f.reconstructions);
+        ("rebuilds", int f.rebuilds); ("storage_overhead", jf3 c.h_overhead);
+        ("nodes", list (List.map node c.h_health)) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"cells\": [%s],\n"
-       (String.concat ",\n            " (List.map cell r.b_cells)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"replicated_us\": %s, \"erasure_us\": %s, \"erasure_wipe_us\": \
-        %s, \"disk_us\": %s,\n"
-       (Report.jf r.b_repl_us) (Report.jf r.b_ec_us) (Report.jf r.b_ec_wipe_us)
-       (Report.jf r.b_disk_us));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"parity_price\": %s, \"erasure_overhead\": %s, \
-        \"replicated_overhead\": %s,\n"
-       (Report.jf3 r.b_parity_price) (Report.jf3 r.b_ec_overhead)
-       (Report.jf3 r.b_repl_overhead));
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" r.b_ok);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.b_seed) ];
+      [ ("duration_s", secs r.b_duration) ];
+      [ ("cells", column ~indent:12 (List.map cell r.b_cells)) ];
+      [ ("replicated_us", jf r.b_repl_us); ("erasure_us", jf r.b_ec_us);
+        ("erasure_wipe_us", jf r.b_ec_wipe_us); ("disk_us", jf r.b_disk_us) ];
+      [ ("parity_price", jf3 r.b_parity_price);
+        ("erasure_overhead", jf3 r.b_ec_overhead);
+        ("replicated_overhead", jf3 r.b_repl_overhead) ];
+      [ ("ok", bool r.b_ok) ] ]

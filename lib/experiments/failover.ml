@@ -90,68 +90,54 @@ let run_once ~seed ~duration =
     audit = Obs.Qos_audit.summarize () }
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": %s,\n" (Harness.domains_json r.domains));
-  let f = r.fleet in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"fleet\": {\"stores\": %d, \"acks\": %d, \"replica_skips\": %d, \
-        \"replica_timeouts\": %d, \"remote_fulls\": %d, \"lost_primaries\": \
-        %d, \"failovers\": %d, \"rebuilds\": %d, \"disk_fallbacks\": %d, \
-        \"secondary_rebuilds\": %d, \"retransmits\": %d, \"quarantines\": \
-        %d, \"readmissions\": %d, \"probes\": %d, \"probe_failures\": %d, \
-        \"wipes_applied\": %d, \"repair_rounds\": %d},\n"
-       f.Tier.Fleet.stores f.Tier.Fleet.acks f.Tier.Fleet.replica_skips
-       f.Tier.Fleet.replica_timeouts f.Tier.Fleet.remote_fulls
-       f.Tier.Fleet.lost_primaries f.Tier.Fleet.failovers
-       f.Tier.Fleet.rebuilds f.Tier.Fleet.disk_fallbacks
-       f.Tier.Fleet.secondary_rebuilds f.Tier.Fleet.retransmits
-       f.Tier.Fleet.quarantines f.Tier.Fleet.readmissions f.Tier.Fleet.probes
-       f.Tier.Fleet.probe_failures f.Tier.Fleet.wipes_applied
-       f.Tier.Fleet.repair_rounds);
+  let open Report.Json in
+  let f = r.fleet and st = r.store_totals in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"member\": %b, \"used\": %d, \"capacity\": %d, \
-       \"quarantined\": %b, \"quarantines\": %d, \"readmissions\": %d, \
-       \"stores\": %d, \"serves\": %d, \"failovers\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_member h.Tier.Fleet.nh_used
-      h.Tier.Fleet.nh_capacity h.Tier.Fleet.nh_quarantined
-      h.Tier.Fleet.nh_quarantines h.Tier.Fleet.nh_readmissions
-      h.Tier.Fleet.nh_stores h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
+    obj
+      [ ("name", str h.Tier.Fleet.nh_name); ("member", bool h.nh_member);
+        ("used", int h.nh_used); ("capacity", int h.nh_capacity);
+        ("quarantined", bool h.nh_quarantined);
+        ("quarantines", int h.nh_quarantines);
+        ("readmissions", int h.nh_readmissions); ("stores", int h.nh_stores);
+        ("serves", int h.nh_serves); ("failovers", int h.nh_failovers) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"nodes\": [%s],\n"
-       (String.concat ", " (List.map node r.health)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"books_balanced\": %b,\n" r.books_balanced);
-  let st = r.store_totals in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"stores\": {\"cache_hits\": %d, \"fleet_hits\": %d, \
-        \"fleet_misses\": %d, \"promotes\": %d, \"demotes\": %d, \
-        \"write_fallbacks\": %d, \"clean_skips\": %d, \"lost_slots\": %d},\n"
-       st.Tier.Fleet.st_cache_hits st.Tier.Fleet.st_fleet_hits
-       st.Tier.Fleet.st_fleet_misses st.Tier.Fleet.st_promotes
-       st.Tier.Fleet.st_demotes st.Tier.Fleet.st_write_fallbacks
-       st.Tier.Fleet.st_clean_skips st.Tier.Fleet.st_lost_slots);
-  Buffer.add_string b (Printf.sprintf "  \"lost_slots\": %d,\n" r.lost_slots);
-  Buffer.add_string b
-    (Printf.sprintf "  \"node_wipes\": %d, \"node_partitions\": %d,\n"
-       r.node_wipes r.node_partitions);
-  Buffer.add_string b
-    (Printf.sprintf "  \"bystander_violations\": %d,\n"
-       r.bystander_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"tiered_violations\": %d,\n" r.tiered_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("duration_s", secs r.duration) ];
+      [ ("domains", Harness.domains_json r.domains) ];
+      [ ( "fleet",
+          obj
+            [ ("stores", int f.stores); ("acks", int f.acks);
+              ("replica_skips", int f.replica_skips);
+              ("replica_timeouts", int f.replica_timeouts);
+              ("remote_fulls", int f.remote_fulls);
+              ("lost_primaries", int f.lost_primaries);
+              ("failovers", int f.failovers); ("rebuilds", int f.rebuilds);
+              ("disk_fallbacks", int f.disk_fallbacks);
+              ("secondary_rebuilds", int f.secondary_rebuilds);
+              ("retransmits", int f.retransmits);
+              ("quarantines", int f.quarantines);
+              ("readmissions", int f.readmissions); ("probes", int f.probes);
+              ("probe_failures", int f.probe_failures);
+              ("wipes_applied", int f.wipes_applied);
+              ("repair_rounds", int f.repair_rounds) ] ) ];
+      [ ("nodes", list (List.map node r.health)) ];
+      [ ("books_balanced", bool r.books_balanced) ];
+      [ ( "stores",
+          obj
+            [ ("cache_hits", int st.st_cache_hits);
+              ("fleet_hits", int st.st_fleet_hits);
+              ("fleet_misses", int st.st_fleet_misses);
+              ("promotes", int st.st_promotes); ("demotes", int st.st_demotes);
+              ("write_fallbacks", int st.st_write_fallbacks);
+              ("clean_skips", int st.st_clean_skips);
+              ("lost_slots", int st.st_lost_slots) ] ) ];
+      [ ("lost_slots", int r.lost_slots) ];
+      [ ("node_wipes", int r.node_wipes);
+        ("node_partitions", int r.node_partitions) ];
+      [ ("bystander_violations", int r.bystander_violations) ];
+      [ ("tiered_violations", int r.tiered_violations) ];
+      [ ("deterministic", bool r.deterministic) ] ]
 
 (* Same-seed reproducibility is part of the verdict: the whole run —
    wipe, partition, quarantine, repair — happens twice and the
@@ -214,30 +200,17 @@ let print r =
   Report.audit_section "Failover QoS audit" (Some r.audit);
   Printf.printf "bystander (disk-only) violations: %d\n"
     r.bystander_violations;
-  print_endline
-    (if ok r then
-       "VERDICT: ok — node loss survived without safety loss, books \
-        balance, bystanders unperturbed, reproducible"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "node loss survived without safety loss, books balance, bystanders \
+     unperturbed, reproducible"
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark: post-wipe fault latency vs the healthy remote path.      *)
 
-type bench_cell = {
-  bc_name : string;
-  bc_accesses : int;
-  bc_mean_us : float;
-  bc_half2_mean_us : float;
-  bc_fleet_hits : int;
-  bc_failovers : int;
-  bc_rebuilds : int;
-  bc_nodes : Tier.Fleet.node_health list;
-}
-
 type bench_result = {
   b_seed : int;
   b_duration : Time.span;
-  b_cells : bench_cell list;
+  b_cells : Harness.hot_run list;
   b_healthy_us : float;
   b_postwipe_us : float;
   b_disk_us : float;
@@ -257,19 +230,9 @@ let bench_cell ~seed ~duration ~name ~fleeted ~wipe =
         (System.sim sys),
       n0 )
   in
-  let h =
-    Harness.hot_run ~experiment ~cell:name ~seed ~duration
-      ~fleet:(if fleeted then Some fleet else None)
-      ~wipe
-  in
-  { bc_name = name;
-    bc_accesses = h.Harness.h_accesses;
-    bc_mean_us = h.Harness.h_mean_us;
-    bc_half2_mean_us = h.Harness.h_half2_mean_us;
-    bc_fleet_hits = h.Harness.h_fleet_hits;
-    bc_failovers = h.Harness.h_fleet.Tier.Fleet.failovers;
-    bc_rebuilds = h.Harness.h_fleet.Tier.Fleet.rebuilds;
-    bc_nodes = h.Harness.h_health }
+  Harness.hot_run ~experiment ~cell:name ~seed ~duration
+    ~fleet:(if fleeted then Some fleet else None)
+    ~wipe
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let disk = bench_cell ~seed ~duration ~name:"disk" ~fleeted:false ~wipe:false in
@@ -279,26 +242,20 @@ let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let wiped =
     bench_cell ~seed ~duration ~name:"fleet_wipe" ~fleeted:true ~wipe:true
   in
-  let degradation =
-    if
-      Float.is_nan healthy.bc_half2_mean_us
-      || Float.is_nan wiped.bc_half2_mean_us
-      || healthy.bc_half2_mean_us <= 0.
-    then nan
-    else wiped.bc_half2_mean_us /. healthy.bc_half2_mean_us
-  in
+  let half2 (c : Harness.hot_run) = c.h_half2_mean_us in
+  let degradation = Harness.ratio (half2 wiped) (half2 healthy) in
   let okv =
     (not (Float.is_nan degradation))
     && degradation <= 2.0
-    && (not (Float.is_nan disk.bc_half2_mean_us))
-    && disk.bc_half2_mean_us >= 5.0 *. wiped.bc_half2_mean_us
+    && (not (Float.is_nan (half2 disk)))
+    && half2 disk >= 5.0 *. half2 wiped
   in
   { b_seed = seed;
     b_duration = duration;
     b_cells = [ disk; healthy; wiped ];
-    b_healthy_us = healthy.bc_half2_mean_us;
-    b_postwipe_us = wiped.bc_half2_mean_us;
-    b_disk_us = disk.bc_half2_mean_us;
+    b_healthy_us = half2 healthy;
+    b_postwipe_us = half2 wiped;
+    b_disk_us = half2 disk;
     b_degradation = degradation;
     b_ok = okv }
 
@@ -313,10 +270,11 @@ let bench_print r =
       [ "cell"; "accesses"; "mean us"; "2nd-half us"; "fleet hits";
         "failovers"; "rebuilds" ]
     (List.map
-       (fun c ->
-         [ c.bc_name; string_of_int c.bc_accesses; Report.us c.bc_mean_us;
-           Report.us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
-           string_of_int c.bc_failovers; string_of_int c.bc_rebuilds ])
+       (fun (c : Harness.hot_run) ->
+         [ c.h_cell; string_of_int c.h_accesses; Report.us c.h_mean_us;
+           Report.us c.h_half2_mean_us; string_of_int c.h_fleet_hits;
+           string_of_int c.h_fleet.failovers;
+           string_of_int c.h_fleet.rebuilds ])
        r.b_cells);
   print_newline ();
   Printf.printf
@@ -325,39 +283,28 @@ let bench_print r =
     (if r.b_ok then "no disk-fallback cliff" else "CLIFF (or degraded > 2x)")
 
 let bench_to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.b_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.b_duration));
+  let open Report.Json in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"used\": %d, \"stores\": %d, \"serves\": %d, \
-       \"failovers\": %d, \"quarantines\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_used h.Tier.Fleet.nh_stores
-      h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
-      h.Tier.Fleet.nh_quarantines
+    obj
+      [ ("name", str h.Tier.Fleet.nh_name); ("used", int h.nh_used);
+        ("stores", int h.nh_stores); ("serves", int h.nh_serves);
+        ("failovers", int h.nh_failovers);
+        ("quarantines", int h.nh_quarantines) ]
   in
-  let cell c =
-    Printf.sprintf
-      "{\"cell\": %S, \"accesses\": %d, \"mean_us\": %s, \"half2_mean_us\": \
-       %s, \"fleet_hits\": %d, \"failovers\": %d, \"rebuilds\": %d, \
-       \"nodes\": [%s]}"
-      c.bc_name c.bc_accesses (Report.jf c.bc_mean_us)
-      (Report.jf c.bc_half2_mean_us)
-      c.bc_fleet_hits c.bc_failovers c.bc_rebuilds
-      (String.concat ", " (List.map node c.bc_nodes))
+  let cell (c : Harness.hot_run) =
+    obj
+      [ ("cell", str c.h_cell); ("accesses", int c.h_accesses);
+        ("mean_us", jf c.h_mean_us); ("half2_mean_us", jf c.h_half2_mean_us);
+        ("fleet_hits", int c.h_fleet_hits);
+        ("failovers", int c.h_fleet.failovers);
+        ("rebuilds", int c.h_fleet.rebuilds);
+        ("nodes", list (List.map node c.h_health)) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"cells\": [%s],\n"
-       (String.concat ", " (List.map cell r.b_cells)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"healthy_us\": %s, \"postwipe_us\": %s, \"disk_us\": %s,\n"
-       (Report.jf r.b_healthy_us) (Report.jf r.b_postwipe_us)
-       (Report.jf r.b_disk_us));
-  Buffer.add_string b
-    (Printf.sprintf "  \"degradation\": %s,\n" (Report.jf3 r.b_degradation));
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" r.b_ok);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.b_seed) ];
+      [ ("duration_s", secs r.b_duration) ];
+      [ ("cells", list (List.map cell r.b_cells)) ];
+      [ ("healthy_us", jf r.b_healthy_us); ("postwipe_us", jf r.b_postwipe_us);
+        ("disk_us", jf r.b_disk_us) ];
+      [ ("degradation", jf3 r.b_degradation) ];
+      [ ("ok", bool r.b_ok) ] ]

@@ -41,34 +41,13 @@ val ok : result -> bool
 val print : result -> unit
 val to_json : result -> string
 
-(** One cell of the failover benchmark: the hotspot workload against
-    one backend, with the fault-latency histogram split at T/2 so the
-    post-wipe window can be compared against the same window of a
-    healthy run. *)
-type bench_cell = {
-  bc_name : string;  (** ["disk"], ["fleet"], ["fleet_wipe"] *)
-  bc_accesses : int;
-  bc_mean_us : float;  (** whole-run mean fault latency *)
-  bc_half2_mean_us : float;  (** second-half window (post-wipe if wiped) *)
-  bc_fleet_hits : int;
-  bc_failovers : int;
-  bc_rebuilds : int;
-  bc_nodes : Tier.Fleet.node_health list;
-      (** per-node end-of-run gauges (stores/serves/failovers) *)
-}
-
-type bench_result = {
-  b_seed : int;
-  b_duration : Time.span;
-  b_cells : bench_cell list;
-  b_healthy_us : float;  (** fleet cell, second-half window *)
-  b_postwipe_us : float;  (** fleet_wipe cell, post-wipe window *)
-  b_disk_us : float;  (** disk cell, second-half window *)
-  b_degradation : float;  (** postwipe / healthy *)
-  b_ok : bool;
-      (** post-wipe mean ≤ 2× the healthy remote path and at least
-          5× below the disk path — no disk-fallback cliff *)
-}
+(** The failover benchmark: the hotspot workload against the disk
+    (["disk"]), the healthy fleet (["fleet"]) and the fleet with n0
+    wiped at T/2 (["fleet_wipe"]), the post-wipe window compared
+    against the same window of the healthy run. It passes when the
+    post-wipe mean is at most 2× the healthy remote path and at least
+    5× below the disk path: no disk-fallback cliff. *)
+type bench_result
 
 val bench : ?seed:int -> ?duration:Time.span -> unit -> bench_result
 val bench_print : bench_result -> unit

@@ -20,11 +20,8 @@ let run_one ~duration ~fs_depth ~with_pagers =
   if !Obs.enabled then Obs.reset ();
   let sys = Harness.fresh_system () in
   let fs =
-    match Fs_client.start sys ~name:"fs" ~qos:(fs_qos ()) ~depth:fs_depth () with
-    | Ok f -> f
-    (* Setup failwiths: the figure's fixed fleet admits by
-       construction; a refusal is an experiment bug. *)
-    | Error e -> failwith ("fs client: " ^ e)
+    Fs_client.start sys ~name:"fs" ~qos:(fs_qos ()) ~depth:fs_depth ()
+    |> Harness.expect ~experiment:"fig9" (( ^ ) "fs client: ")
   in
   let pagers =
     if with_pagers then
@@ -34,11 +31,8 @@ let run_one ~duration ~fs_depth ~with_pagers =
           let qos =
             Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms slice_ms) ()
           in
-          match
-            Paging_app.start sys ~name ~mode:Paging_app.Paging_in ~qos ()
-          with
-          | Ok a -> a
-          | Error e -> failwith (name ^ ": " ^ e))
+          Paging_app.start sys ~name ~mode:Paging_app.Paging_in ~qos ()
+          |> Harness.expect ~experiment:"fig9" (fun e -> name ^ ": " ^ e))
         [ 25; 50 ]
     else []
   in

@@ -1,38 +1,6 @@
 open Engine
 open Core
 
-let run_in_sim sys f =
-  let result = ref None in
-  ignore
-    (Proc.spawn ~name:"experiment" (System.sim sys) (fun () ->
-         result := Some (f ())));
-  let fuel = ref 200_000_000 in
-  while !result = None && !fuel > 0 do
-    if Sim.step (System.sim sys) then decr fuel else fuel := 0
-  done;
-  match !result with
-  | Some r -> r
-  (* Harness failwiths: fuel exhaustion or a refused bench-domain
-     admission mean the experiment never produced a result to
-     qualify — abort loudly rather than fabricate one. *)
-  | None -> failwith "run_in_sim: experiment did not complete"
-
-let fresh_system ?(page_table = `Linear) ?(usd_rollover = true)
-    ?(usd_laxity = true) ?(main_memory_mb = 64) ?(seed = 42) () =
-  let config =
-    { System.default_config with
-      page_table; usd_rollover; usd_laxity; main_memory_mb; seed }
-  in
-  System.create ~config ()
-
-let bench_domain sys ?(guarantee = 256) ?(optimistic = 0) ~name () =
-  match
-    System.add_domain sys ~name ~cpu_period:(Time.ms 10)
-      ~cpu_slice:(Time.ms 9) ~guarantee ~optimistic ()
-  with
-  | Ok d -> d
-  | Error e -> failwith ("bench_domain: " ^ System.error_message e)
-
 (* One funnel for experiment verdict escapes: the experiment name and
    any structured context go to stderr (the exception message often
    surfaces far from the failing experiment, e.g. under alcotest),
@@ -46,19 +14,70 @@ let fail_verdict ~experiment ?(context = []) msg =
   flush stderr;
   failwith msg
 
+let expect ~experiment ?context msg = function
+  | Ok x -> x
+  | Error e -> fail_verdict ~experiment ?context (msg e)
+
+let run_in_sim sys f =
+  let result = ref None in
+  ignore
+    (Proc.spawn ~name:"experiment" (System.sim sys) (fun () ->
+         result := Some (f ())));
+  let fuel = ref 200_000_000 in
+  while !result = None && !fuel > 0 do
+    if Sim.step (System.sim sys) then decr fuel else fuel := 0
+  done;
+  match !result with
+  | Some r -> r
+  | None ->
+    fail_verdict ~experiment:"harness" "run_in_sim: experiment did not complete"
+
+let fresh_system ?(page_table = `Linear) ?(usd_rollover = true)
+    ?(usd_laxity = true) ?(main_memory_mb = 64) ?(seed = 42) () =
+  let config =
+    { System.default_config with
+      page_table; usd_rollover; usd_laxity; main_memory_mb; seed }
+  in
+  System.create ~config ()
+
+(* Flat contracts for [n] domains, scaled so they book Σ s/p ≈ 0.77 of
+   the CPU and ≈ 0.8 of the disk whatever [n] is. The disk period also
+   grows with [n]: a disk transaction costs ~10 ms whatever the slice
+   (the short-block problem), so each client's per-period slice must
+   span whole transactions or EDF cannot possibly honour every contract
+   within the period and the auditor rightly objects. *)
+let flat_contracts n =
+  let usd_period_ms = max 400 (n * 32) in
+  ( Time.us (max 20 (7_700 / n)),
+    Usbs.Qos.make ~period:(Time.ms usd_period_ms)
+      ~slice:(Time.us (max 500 (usd_period_ms * 800 / n)))
+      () )
+
+let bench_domain sys ?(guarantee = 256) ?(optimistic = 0) ~name () =
+  System.add_domain sys ~name ~cpu_period:(Time.ms 10) ~cpu_slice:(Time.ms 9)
+    ~guarantee ~optimistic ()
+  |> expect ~experiment:"harness" (fun e ->
+         "bench_domain: " ^ System.error_message e)
+
+let observed_system config =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Inject.disarm ();
+  System.create ~config ()
+
+let memory_mb ~guaranteed ~extra =
+  let frames = (guaranteed * 5 / 4) + extra in
+  let frames_per_mb = 1024 * 1024 / Hw.Addr.page_size in
+  max 2 ((frames + frames_per_mb - 1) / frames_per_mb)
+
 let pattern ~experiment name =
-  match Workload.Paging_app.pattern_of_string name with
-  | Ok p -> p
-  | Error e -> fail_verdict ~experiment (Registry.error_message e)
+  Workload.Paging_app.pattern_of_string name
+  |> expect ~experiment Registry.error_message
 
 let backing ~experiment spec ctx =
   match Tier.Backing.resolve spec with
   | Error e -> fail_verdict ~experiment (Registry.error_message e)
-  | Ok factory -> (
-      fun swap ->
-        match factory ctx swap with
-        | Ok b -> b
-        | Error msg -> fail_verdict ~experiment msg)
+  | Ok factory -> fun swap -> expect ~experiment Fun.id (factory ctx swap)
 
 let mean_span spans =
   match spans with
@@ -86,6 +105,44 @@ let violations_for ~names ~ids =
          | Obs.Qos_audit.Guarantee_starved { dom } -> List.mem dom ids)
        (Obs.Qos_audit.events ()))
 
+let app_violations name app =
+  violations_for ~names:[ name ]
+    ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
+
+type frame_books = {
+  fb_total : int;
+  fb_free : int;
+  fb_held : int;
+  fb_owned : int;
+  fb_balanced : bool;
+}
+
+let frame_books sys ~extra_held =
+  let fr = System.frames sys and rt = System.ramtab sys in
+  let held =
+    List.fold_left
+      (fun acc d -> acc + Frames.held d.System.frames_client)
+      extra_held (System.domains sys)
+  in
+  let owned = ref 0 in
+  for pfn = 0 to Hw.Ramtab.nframes rt - 1 do
+    if Hw.Ramtab.owner rt ~pfn <> None then incr owned
+  done;
+  let total = Frames.total_frames fr and free = Frames.free_frames fr in
+  { fb_total = total;
+    fb_free = free;
+    fb_held = held;
+    fb_owned = !owned;
+    fb_balanced = free + held = total && !owned = held }
+
+let print_frame_books b =
+  Printf.printf "frames: %d free + %d held = %d total; RamTab owns %d (%s)\n"
+    b.fb_free b.fb_held b.fb_total b.fb_owned
+    (if b.fb_balanced then "books balance" else "BOOKS OFF")
+
+let ratio a b =
+  if Float.is_nan a || Float.is_nan b || b <= 0. then nan else a /. b
+
 let rerun once ~to_json =
   let r1 = once () in
   let r2 = once () in
@@ -107,29 +164,40 @@ type domain_report = {
 let patterns = [ "seq"; "rand"; "hot" ]
 
 let tier_system ~seed =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  System.create ~config ()
+  observed_system { System.default_config with seed; main_memory_mb = 2 }
 
 let fault_hist name =
   match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
   | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
   | None -> (nan, nan)
 
-let start_app ~experiment sys ~name ~pattern ?backing () =
-  (* six apps share the disk: 6 x 35/250 = 0.84 leaves admission room *)
-  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 35) () in
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos ~vm_bytes:(1024 * 1024) ~phys_frames:8
-      ~swap_bytes:(4 * 1024 * 1024) ?backing ~pattern ()
-  with
-  | Ok a -> a
-  | Error e ->
-      fail_verdict ~experiment ~context:[ ("app", name) ]
-        (Printf.sprintf "%s: %s: %s" experiment name e)
+let pooled_faults labels =
+  let views =
+    List.filter_map
+      (fun label -> Obs.Metrics.hist_view ~label "fault.latency_us")
+      labels
+  in
+  let count = List.fold_left (fun a v -> a + v.Obs.Metrics.hv_count) 0 views in
+  if count = 0 then (0, nan, nan)
+  else
+    ( count,
+      List.fold_left
+        (fun a v ->
+          a +. (v.Obs.Metrics.hv_mean *. float_of_int v.Obs.Metrics.hv_count))
+        0.0 views
+      /. float_of_int count,
+      List.fold_left
+        (fun a v -> Float.max a (Obs.Metrics.hist_quantile v 0.95))
+        0.0 views )
+
+let start_app ~experiment sys ~slice ~name ?pattern ?policy ?spare_pages
+    ?optimistic ?backing () =
+  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice () in
+  Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in ~qos
+    ~vm_bytes:(1024 * 1024) ~phys_frames:8 ?optimistic
+    ~swap_bytes:(4 * 1024 * 1024) ?policy ?spare_pages ?backing ?pattern ()
+  |> expect ~experiment ~context:[ ("app", name) ] (fun e ->
+         Printf.sprintf "%s: %s: %s" experiment name e)
 
 type mix_app = {
   m_name : string;
@@ -151,7 +219,11 @@ let start_mix ~experiment sys ~tier_prefix tier_backing =
         { m_name = name;
           m_pattern = pat;
           m_tiered = backing <> None;
-          m_app = start_app ~experiment sys ~name ~pattern ?backing () })
+          (* six apps share the disk: 6 x 35/250 = 0.84 leaves
+             admission room *)
+          m_app =
+            start_app ~experiment sys ~slice:(Time.ms 35) ~name ~pattern
+              ?backing () })
       patterns
   in
   let disk = start "disk_" (fun _ -> None) in
@@ -162,21 +234,21 @@ let run_and_drain sys ~duration =
   Inject.disarm ();
   System.run ~until:(Time.add duration (Time.sec 2)) sys
 
+let domain_report ~pattern ~tiered name app =
+  let mean, p95 = fault_hist name in
+  { dr_name = name;
+    dr_pattern = pattern;
+    dr_tiered = tiered;
+    dr_mbit = Workload.Paging_app.sustained_mbit app;
+    dr_accesses = Workload.Paging_app.measured_accesses app;
+    dr_fault_mean_us = mean;
+    dr_fault_p95_us = p95;
+    dr_violations = app_violations name app }
+
 let domain_reports apps =
   List.map
     (fun a ->
-      let mean, p95 = fault_hist a.m_name in
-      { dr_name = a.m_name;
-        dr_pattern = a.m_pattern;
-        dr_tiered = a.m_tiered;
-        dr_mbit = Workload.Paging_app.sustained_mbit a.m_app;
-        dr_accesses = Workload.Paging_app.measured_accesses a.m_app;
-        dr_fault_mean_us = mean;
-        dr_fault_p95_us = p95;
-        dr_violations =
-          violations_for ~names:[ a.m_name ]
-            ~ids:[ Domains.id (Workload.Paging_app.domain a.m_app).System.dom ]
-      })
+      domain_report ~pattern:a.m_pattern ~tiered:a.m_tiered a.m_name a.m_app)
     apps
 
 let violations ~tiered reports =
@@ -198,32 +270,28 @@ let domain_table ~tier reports =
        reports)
 
 let domains_json reports =
-  let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \
-       \"accesses\": %d, \"fault_mean_us\": %s, \"fault_p95_us\": %s, \
-       \"violations\": %d}"
-      d.dr_name d.dr_pattern d.dr_tiered (Report.jf3 d.dr_mbit) d.dr_accesses
-      (Report.jf d.dr_fault_mean_us)
-      (Report.jf d.dr_fault_p95_us)
-      d.dr_violations
-  in
-  Printf.sprintf "[%s]" (String.concat ", " (List.map dom reports))
+  let open Report.Json in
+  list
+    (List.map
+       (fun d ->
+         obj
+           [ ("name", str d.dr_name); ("pattern", str d.dr_pattern);
+             ("tiered", bool d.dr_tiered); ("mbit_s", jf3 d.dr_mbit);
+             ("accesses", int d.dr_accesses);
+             ("fault_mean_us", jf d.dr_fault_mean_us);
+             ("fault_p95_us", jf d.dr_fault_p95_us);
+             ("violations", int d.dr_violations) ])
+       reports)
 
 (* Every tiered domain's link guarantee, per node link: 5 ms per 20 ms,
    slack-eligible, 2 ms laxity — 3 domains x 5/20 + a fleet's repair
    client 2/20 = 0.85 of each link. *)
 let fleet_backing ~experiment ~context fleet ~on_store name =
   let clients =
-    match
-      Tier.Fleet.admit_clients fleet ~name:(name ^ ".tier")
-        ~period:(Time.ms 20) ~slice:(Time.ms 5) ~extra:true
-        ~laxity:(Time.of_ms_float 2.0) ()
-    with
-    | Ok cs -> cs
-    | Error e ->
-        fail_verdict ~experiment ~context
-          (experiment ^ ": " ^ Usnet.Link.admit_error_message e)
+    Tier.Fleet.admit_clients fleet ~name:(name ^ ".tier") ~period:(Time.ms 20)
+      ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
+    |> expect ~experiment ~context (fun e ->
+           experiment ^ ": " ^ Usnet.Link.admit_error_message e)
   in
   backing ~experiment "fleet:cache-pages=24"
     [ Tier.Fleet.Fleet_tier
@@ -248,6 +316,7 @@ let store_totals stores =
     stores
 
 type hot_run = {
+  h_cell : string;
   h_accesses : int;
   h_mean_us : float;
   h_half2_mean_us : float;
@@ -275,7 +344,7 @@ let hot_run ~experiment ~cell ~seed ~duration ~fleet ~wipe =
       fleet
   in
   let app =
-    start_app ~experiment sys ~name:"bench"
+    start_app ~experiment sys ~slice:(Time.ms 35) ~name:"bench"
       ~pattern:Workload.Paging_app.Hotspot ?backing ()
   in
   let snap () =
@@ -314,7 +383,8 @@ let hot_run ~experiment ~cell ~seed ~duration ~fleet ~wipe =
           nan,
           [] )
   in
-  { h_accesses = Workload.Paging_app.measured_accesses app;
+  { h_cell = cell;
+    h_accesses = Workload.Paging_app.measured_accesses app;
     h_mean_us = m2;
     h_half2_mean_us = half2;
     h_fleet_hits =

@@ -7,6 +7,13 @@ type shares_result = { senders : (string * float * float) list }
 
 let packet_bytes = 1514
 
+(* Setup failures: admissions here are sized to fit by construction,
+   so a refusal is a bug in the experiment, not a measurable outcome. *)
+let experiment = "netiso"
+let admitted r = Harness.expect ~experiment Usnet.Link.admit_error_message r
+let system_ok r = Harness.expect ~experiment System.error_message r
+let or_fail r = Harness.expect ~experiment Fun.id r
+
 let run_shares ?(duration = Time.sec 30) () =
   let sim = Sim.create () in
   let link = Usnet.Link.create sim in
@@ -15,15 +22,9 @@ let run_shares ?(duration = Time.sec 30) () =
       (fun slice_ms ->
         let name = Printf.sprintf "tx%d" (slice_ms * 100 / 250) in
         let c =
-          match
-            Usnet.Link.admit link ~name ~period:(Time.ms 250)
-              ~slice:(Time.ms slice_ms) ()
-          with
-          | Ok c -> c
-          (* Setup failwiths throughout: admissions here are sized to
-             fit by construction, so a refusal is a bug in the
-             experiment, not a measurable outcome. *)
-          | Error e -> failwith (Usnet.Link.admit_error_message e)
+          admitted
+            (Usnet.Link.admit link ~name ~period:(Time.ms 250)
+               ~slice:(Time.ms slice_ms) ())
         in
         (* Flat out: keep the transmit ring full. *)
         ignore
@@ -77,26 +78,17 @@ type crosstalk_result = {
    backing, 20% disk guarantee. *)
 let start_heavy_pager sys =
   let d =
-    match
-      System.add_domain sys ~name:"heavy" ~guarantee:2 ~optimistic:0 ()
-    with
-    | Ok d -> d
-    | Error e -> failwith (System.error_message e)
+    system_ok
+      (System.add_domain sys ~name:"heavy" ~guarantee:2 ~optimistic:0 ())
   in
-  let s =
-    match System.alloc_stretch d ~bytes:(2 * 1024 * 1024) () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
+  let s = or_fail (System.alloc_stretch d ~bytes:(2 * 1024 * 1024) ()) in
   ignore
     (Domains.spawn_thread d.System.dom ~name:"churn" (fun () ->
          let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 50) () in
-         (match
-            System.bind_paged d ~forgetful:true ~initial_frames:2
-              ~swap_bytes:(8 * 1024 * 1024) ~qos s ()
-          with
-         | Ok _ -> ()
-         | Error e -> failwith (System.error_message e));
+         ignore
+           (system_ok
+              (System.bind_paged d ~forgetful:true ~initial_frames:2
+                 ~swap_bytes:(8 * 1024 * 1024) ~qos s ()));
          let n = Stretch.npages s in
          let rec loop () =
            for i = 0 to n - 1 do
@@ -124,6 +116,16 @@ let streamer_loop ~sim ~send ~gap ~warmup stats () =
 let gap = Time.ms 2
 let warmup = Time.sec 10
 
+(* Run the streamer over [send] for [duration]; its latency samples. *)
+let stream sys ~send ~duration =
+  let sim = System.sim sys in
+  let stats = Stats.create ~keep_samples:true () in
+  ignore
+    (Proc.spawn ~name:"stream" sim
+       (streamer_loop ~sim ~send ~gap ~warmup stats));
+  System.run sys ~until:duration;
+  stats
+
 (* Nemesis structure: the streamer owns a link guarantee and transmits
    directly; the pager self-pages. Orthogonal resources, no shared
    servers. *)
@@ -132,25 +134,16 @@ let run_nemesis ~duration =
   let sim = System.sim sys in
   let link = Usnet.Link.create sim in
   let tx =
-    match
-      Usnet.Link.admit link ~name:"stream" ~period:(Time.ms 10)
-        ~slice:(Time.ms 2) ()
-    with
-    | Ok c -> c
-    | Error e -> failwith (Usnet.Link.admit_error_message e)
+    admitted
+      (Usnet.Link.admit link ~name:"stream" ~period:(Time.ms 10)
+         ~slice:(Time.ms 2) ())
   in
   ignore (start_heavy_pager sys);
-  let stats = Stats.create ~keep_samples:true () in
-  ignore
-    (Proc.spawn ~name:"stream" sim
-       (streamer_loop ~sim
-          ~send:(fun () ->
-            match Usnet.Link.transmit link tx ~bytes:packet_bytes with
-            | Ok () -> ()
-            | Error `Retired -> failwith "net_iso: stream client retired")
-          ~gap ~warmup stats));
-  System.run sys ~until:duration;
-  stats
+  stream sys ~duration ~send:(fun () ->
+      match Usnet.Link.transmit link tx ~bytes:packet_bytes with
+      | Ok () -> ()
+      | Error `Retired ->
+        Harness.fail_verdict ~experiment "net_iso: stream client retired")
 
 (* Shared-driver structure: one "kernel" domain's single event loop
    both resolves page faults (blocking on ~11 ms disk writes) and
@@ -165,20 +158,14 @@ let run_shared ~duration =
   let sim = System.sim sys in
   let link = Usnet.Link.create sim in
   let kernel =
-    match
-      System.add_domain sys ~name:"kernel" ~cpu_slice:(Time.ms 2)
-        ~guarantee:8 ~optimistic:0 ()
-    with
-    | Ok d -> d
-    | Error e -> failwith (System.error_message e)
+    system_ok
+      (System.add_domain sys ~name:"kernel" ~cpu_slice:(Time.ms 2)
+         ~guarantee:8 ~optimistic:0 ())
   in
   let ktx =
-    match
-      Usnet.Link.admit link ~name:"kernel-tx" ~period:(Time.ms 10)
-        ~slice:(Time.ms 2) ()
-    with
-    | Ok c -> c
-    | Error e -> failwith (Usnet.Link.admit_error_message e)
+    admitted
+      (Usnet.Link.admit link ~name:"kernel-tx" ~period:(Time.ms 10)
+         ~slice:(Time.ms 2) ())
   in
   let jobs = Sync.Mailbox.create () in
   ignore
@@ -188,7 +175,8 @@ let run_shared ~duration =
            | Send_packet done_ ->
              (match Usnet.Link.transmit link ktx ~bytes:packet_bytes with
              | Ok () -> ()
-             | Error `Retired -> failwith "net_iso: kernel tx retired");
+             | Error `Retired ->
+               Harness.fail_verdict ~experiment "net_iso: kernel tx retired");
              Sync.Ivar.fill done_ ()
            | Resolve (fault, backing) ->
              (match backing.Stretch_driver.full fault with
@@ -204,34 +192,23 @@ let run_shared ~duration =
   (* Heavy pager backed by the kernel domain (its faults become kernel
      jobs, like the external pager, sharing the event loop with tx). *)
   let heavy =
-    match System.add_domain sys ~name:"heavy" ~guarantee:2 ~optimistic:0 () with
-    | Ok d -> d
-    | Error e -> failwith (System.error_message e)
+    system_ok
+      (System.add_domain sys ~name:"heavy" ~guarantee:2 ~optimistic:0 ())
   in
-  let hs =
-    match System.alloc_stretch heavy ~bytes:(2 * 1024 * 1024) () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
+  let hs = or_fail (System.alloc_stretch heavy ~bytes:(2 * 1024 * 1024) ()) in
   Pdom.set
     (Domains.pdom kernel.System.dom)
     ~sid:hs.Stretch.sid Hw.Rights.rw_meta;
   let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 50) () in
   let swap =
-    match
-      Usbs.Sfs.open_swap (System.sfs sys) ~name:"kernel.swap"
-        ~bytes:(8 * 1024 * 1024) ~qos ()
-    with
-    | Ok s -> s
-    | Error e -> failwith (Usbs.Sfs.open_error_message e)
+    Usbs.Sfs.open_swap (System.sfs sys) ~name:"kernel.swap"
+      ~bytes:(8 * 1024 * 1024) ~qos ()
+    |> Harness.expect ~experiment Usbs.Sfs.open_error_message
   in
-  let backing =
-    match
-      Sd_paged.create ~forgetful:true ~initial_frames:2 ~swap
-        kernel.System.env
-    with
-    | Ok (b, _) -> b
-    | Error e -> failwith e
+  let backing, _ =
+    or_fail
+      (Sd_paged.create ~forgetful:true ~initial_frames:2 ~swap
+         kernel.System.env)
   in
   backing.Stretch_driver.bind hs;
   let proxy =
@@ -260,17 +237,10 @@ let run_shared ~duration =
          in
          loop ()));
   (* The streamer's packets go through the shared kernel loop. *)
-  let stats = Stats.create ~keep_samples:true () in
-  ignore
-    (Proc.spawn ~name:"stream" sim
-       (streamer_loop ~sim
-          ~send:(fun () ->
-            let done_ = Sync.Ivar.create () in
-            Sync.Mailbox.send jobs (Send_packet done_);
-            Sync.Ivar.read done_)
-          ~gap ~warmup stats));
-  System.run sys ~until:duration;
-  stats
+  stream sys ~duration ~send:(fun () ->
+      let done_ = Sync.Ivar.create () in
+      Sync.Mailbox.send jobs (Send_packet done_);
+      Sync.Ivar.read done_)
 
 let run_kernel_crosstalk ?(duration = Time.sec 60) () =
   let nem = run_nemesis ~duration in

@@ -60,11 +60,11 @@ let run ?(mode = Paging_app.Paging_in) ?(duration = Time.sec 240)
           Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms slice_ms)
             ~laxity ()
         in
-        match Paging_app.start sys ~name ~mode ~qos () with
-        | Ok a -> (name, slice_ms, a)
-        (* Setup failwith: the figure's fixed app fleet is sized to
-           admit by construction. *)
-        | Error e -> failwith (name ^ ": " ^ e))
+        ( name,
+          slice_ms,
+          Paging_app.start sys ~name ~mode ~qos ()
+          |> Harness.expect ~experiment:"paging-fig" (fun e -> name ^ ": " ^ e)
+        ))
       shares_ms
   in
   System.run sys ~until:duration;

@@ -25,10 +25,10 @@ type row = {
 
 type result = { duration : Time.t; rows : row list }
 
+let experiment = "policy-compare"
+
 let patterns =
-  List.map
-    (fun n -> (n, Harness.pattern ~experiment:"policy-compare" n))
-    [ "seq"; "rand"; "hot" ]
+  List.map (fun n -> (n, Harness.pattern ~experiment n)) Harness.patterns
 
 (* The probe app: 256 pages of VM over 48 guaranteed frames, so the
    residency ratio is ~19% — small enough that sequential and random
@@ -53,26 +53,18 @@ let run_cell ~duration ~seed spec (pat_name, pattern) =
     Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 62) ()
   in
   let probe =
-    match
-      Paging_app.start sys ~name:"probe" ~mode:Paging_app.Paging_in
-        ~qos:qos_probe
-        ~vm_bytes:(probe_vm_pages * page_bytes)
-        ~phys_frames:probe_frames
-        ~swap_bytes:(2 * probe_vm_pages * page_bytes)
-        ~policy:spec ~pattern ()
-    with
-    | Ok a -> a
-    (* Setup failwith: the policy spec was already resolved (typed)
-       by the caller; a start failure here is a sizing bug. *)
-    | Error e -> failwith ("policy-compare probe: " ^ e)
+    Paging_app.start sys ~name:"probe" ~mode:Paging_app.Paging_in
+      ~qos:qos_probe
+      ~vm_bytes:(probe_vm_pages * page_bytes)
+      ~phys_frames:probe_frames
+      ~swap_bytes:(2 * probe_vm_pages * page_bytes)
+      ~policy:spec ~pattern ()
+    |> Harness.expect ~experiment (( ^ ) "policy-compare probe: ")
   in
   let rival =
-    match
-      Paging_app.start sys ~name:"rival" ~mode:Paging_app.Paging_in
-        ~qos:qos_rival ()
-    with
-    | Ok a -> a
-    | Error e -> failwith ("policy-compare rival: " ^ e)
+    Paging_app.start sys ~name:"rival" ~mode:Paging_app.Paging_in
+      ~qos:qos_rival ()
+    |> Harness.expect ~experiment (( ^ ) "policy-compare rival: ")
   in
   System.run sys ~until:duration;
   let info = Paging_app.measured_info probe in
@@ -169,29 +161,23 @@ let print r =
   print_endline "witness that policy choice stays inside the domain's own";
   print_endline "guarantee — self-paging makes paging policy a private matter."
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The compact layout (no spaces, [%.6g] numbers) predates the record
+   layout of {!Report.Json}; BENCH_policy.json keeps it, so this record
+   is written here, sharing only the string writer. *)
+let json_str s = Report.Json.(to_string (str s))
 
 let json_float f =
   if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
 
 let row_to_json row =
   Printf.sprintf
-    "{\"policy\":\"%s\",\"pattern\":\"%s\",\"accesses\":%d,\"faults\":%d,\
+    "{\"policy\":%s,\"pattern\":%s,\"accesses\":%d,\"faults\":%d,\
      \"miss_rate\":%s,\"demand_ins\":%d,\"prefetched\":%d,\
      \"prefetch_hits\":%d,\"prefetch_waste\":%d,\"page_outs\":%d,\
      \"evictions\":%d,\"wb_flushes\":%d,\"rescues\":%d,\
      \"mean_fault_us\":%s,\"p99_fault_us\":%s,\"app_mbit\":%s,\
      \"contender_mbit\":%s,\"qos_violations\":%d}"
-    (json_escape row.policy) (json_escape row.pattern) row.accesses row.faults
+    (json_str row.policy) (json_str row.pattern) row.accesses row.faults
     (json_float row.miss_rate) row.demand_ins row.prefetched row.prefetch_hits
     row.prefetch_waste row.page_outs row.evictions row.wb_flushes row.rescues
     (json_float row.mean_fault_us) (json_float row.p99_fault_us)

@@ -50,14 +50,10 @@ let add_stats a b =
    store over the shared remote node. *)
 let tiered_backing ~link ~remote ~on_store name =
   let client =
-    match
-      Usnet.Link.admit link ~name:(name ^ ".tier") ~period:(Time.ms 20)
-        ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
-    with
-    | Ok c -> c
-    | Error e ->
-        Harness.fail_verdict ~experiment:"remote" ~context:[ ("app", name) ]
-          ("remote: " ^ Usnet.Link.admit_error_message e)
+    Usnet.Link.admit link ~name:(name ^ ".tier") ~period:(Time.ms 20)
+      ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
+    |> Harness.expect ~experiment:"remote" ~context:[ ("app", name) ] (fun e ->
+           "remote: " ^ Usnet.Link.admit_error_message e)
   in
   Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
     [ Tier.Store.Tiered
@@ -116,49 +112,44 @@ let run_once ~seed ~duration =
     audit = Obs.Qos_audit.summarize () }
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": %s,\n" (Harness.domains_json r.domains));
+  let open Report.Json in
   let t = r.tier in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"tier\": {\"cache_hits\": %d, \"remote_hits\": %d, \
-        \"remote_misses\": %d, \"promotes\": %d, \"demotes\": %d, \
-        \"remote_fulls\": %d, \"drops_seen\": %d, \"delays_seen\": %d, \
-        \"retransmits\": %d, \"retx_backoff_ms\": %.3f, \"drop_losses\": \
-        %d, \"transfer_fails\": %d, \"clean_aborts\": %d, \
-        \"disk_fallbacks\": %d, \"link_lost_slots\": %d, \"lost_slots\": \
-        %d},\n"
-       t.Tier.Store.cache_hits t.Tier.Store.remote_hits
-       t.Tier.Store.remote_misses t.Tier.Store.promotes t.Tier.Store.demotes
-       t.Tier.Store.remote_fulls t.Tier.Store.drops_seen
-       t.Tier.Store.delays_seen t.Tier.Store.retransmits
-       (Time.to_ms (List.fold_left ( + ) 0 t.Tier.Store.retx_delays))
-       t.Tier.Store.drop_losses t.Tier.Store.transfer_fails
-       t.Tier.Store.clean_aborts t.Tier.Store.disk_fallbacks
-       t.Tier.Store.link_lost_slots t.Tier.Store.lost_slots);
-  Buffer.add_string b
-    (Printf.sprintf "  \"books_balanced\": %b,\n" r.books_balanced);
-  Buffer.add_string b
-    (Printf.sprintf "  \"remote\": {\"used\": %d, \"capacity\": %d},\n"
-       r.remote_used r.remote_capacity);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"link\": {\"drops\": %d, \"delays\": %d, \"utilisation\": %.3f},\n"
-       r.link_drops r.link_delays r.link_utilisation);
-  Buffer.add_string b
-    (Printf.sprintf "  \"bystander_violations\": %d,\n"
-       r.bystander_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"tiered_violations\": %d,\n" r.tiered_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("duration_s", secs r.duration) ];
+      [ ("domains", Harness.domains_json r.domains) ];
+      [ ( "tier",
+          obj
+            [ ("cache_hits", int t.cache_hits);
+              ("remote_hits", int t.remote_hits);
+              ("remote_misses", int t.remote_misses);
+              ("promotes", int t.promotes); ("demotes", int t.demotes);
+              ("remote_fulls", int t.remote_fulls);
+              ("drops_seen", int t.drops_seen);
+              ("delays_seen", int t.delays_seen);
+              ("retransmits", int t.retransmits);
+              ( "retx_backoff_ms",
+                jf3 (Time.to_ms (List.fold_left ( + ) 0 t.retx_delays))
+              );
+              ("drop_losses", int t.drop_losses);
+              ("transfer_fails", int t.transfer_fails);
+              ("clean_aborts", int t.clean_aborts);
+              ("disk_fallbacks", int t.disk_fallbacks);
+              ("link_lost_slots", int t.link_lost_slots);
+              ("lost_slots", int t.lost_slots) ] ) ];
+      [ ("books_balanced", bool r.books_balanced) ];
+      [ ( "remote",
+          obj
+            [ ("used", int r.remote_used);
+              ("capacity", int r.remote_capacity) ]
+        ) ];
+      [ ( "link",
+          obj
+            [ ("drops", int r.link_drops); ("delays", int r.link_delays);
+              ("utilisation", jf3 r.link_utilisation) ] ) ];
+      [ ("bystander_violations", int r.bystander_violations) ];
+      [ ("tiered_violations", int r.tiered_violations) ];
+      [ ("deterministic", bool r.deterministic) ] ]
 
 (* Same-seed reproducibility is part of the verdict: the whole fleet —
    link chaos included — runs twice and the canonical reports must
@@ -202,26 +193,13 @@ let print r =
   Report.audit_section "Remote-paging QoS audit" (Some r.audit);
   Printf.printf "bystander (disk-only) violations: %d\n"
     r.bystander_violations;
-  print_endline
-    (if ok r then
-       "VERDICT: ok — bystanders unperturbed, tier books balance, chaos \
-        reproducible"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "bystanders unperturbed, tier books balance, chaos reproducible"
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark: tiered vs disk-only, per pattern, fault-free.            *)
 
-type bench_cell = {
-  bc_pattern : string;
-  bc_tiered : bool;
-  bc_mbit : float;
-  bc_accesses : int;
-  bc_fault_mean_us : float;
-  bc_fault_p95_us : float;
-  bc_cache_hits : int;
-  bc_remote_hits : int;
-  bc_remote_misses : int;
-}
+type bench_cell = { bc_app : Harness.domain_report; bc_tier : Tier.Store.stats }
 
 type bench_result = {
   b_seed : int;
@@ -250,24 +228,14 @@ let bench_cell ~seed ~duration ~pat ~tiered =
   in
   let name = "bench" in
   let app =
-    Harness.start_app ~experiment:"remote" sys ~name
+    Harness.start_app ~experiment:"remote" sys ~slice:(Time.ms 35) ~name
       ~pattern:(Harness.pattern ~experiment:"remote" pat)
       ?backing ()
   in
   System.run ~until:duration sys;
-  let mean, p95 = Harness.fault_hist name in
-  let stats =
-    match !store with Some s -> Tier.Store.stats s | None -> zero_stats
-  in
-  { bc_pattern = pat;
-    bc_tiered = tiered;
-    bc_mbit = Workload.Paging_app.sustained_mbit app;
-    bc_accesses = Workload.Paging_app.measured_accesses app;
-    bc_fault_mean_us = mean;
-    bc_fault_p95_us = p95;
-    bc_cache_hits = stats.Tier.Store.cache_hits;
-    bc_remote_hits = stats.Tier.Store.remote_hits;
-    bc_remote_misses = stats.Tier.Store.remote_misses }
+  { bc_app = Harness.domain_report ~pattern:pat ~tiered name app;
+    bc_tier =
+      (match !store with Some s -> Tier.Store.stats s | None -> zero_stats) }
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let cells =
@@ -277,18 +245,13 @@ let bench ?(seed = 42) ?(duration = Time.sec 30) () =
           bench_cell ~seed ~duration ~pat ~tiered:true ])
       Harness.patterns
   in
-  let find p tiered =
-    List.find (fun c -> c.bc_pattern = p && c.bc_tiered = tiered) cells
+  let hot tiered =
+    (List.find
+       (fun c -> c.bc_app.dr_pattern = "hot" && c.bc_app.dr_tiered = tiered)
+       cells)
+      .bc_app.dr_fault_mean_us
   in
-  let hot_disk = find "hot" false and hot_tier = find "hot" true in
-  let speedup =
-    if
-      Float.is_nan hot_disk.bc_fault_mean_us
-      || Float.is_nan hot_tier.bc_fault_mean_us
-      || hot_tier.bc_fault_mean_us <= 0.
-    then nan
-    else hot_disk.bc_fault_mean_us /. hot_tier.bc_fault_mean_us
-  in
+  let speedup = Harness.ratio (hot false) (hot true) in
   { b_seed = seed;
     b_duration = duration;
     b_cells = cells;
@@ -304,12 +267,12 @@ let bench_print r =
       [ "pattern"; "backing"; "Mbit/s"; "accesses"; "fault us"; "p95 us";
         "cache/remote/disk" ]
     (List.map
-       (fun c ->
-         [ c.bc_pattern; (if c.bc_tiered then "tier" else "disk");
-           Report.mbit_s c.bc_mbit; string_of_int c.bc_accesses;
-           Report.us c.bc_fault_mean_us; Report.us c.bc_fault_p95_us;
-           Printf.sprintf "%d/%d/%d" c.bc_cache_hits c.bc_remote_hits
-             c.bc_remote_misses ])
+       (fun { bc_app = d; bc_tier = t } ->
+         [ d.dr_pattern; (if d.dr_tiered then "tier" else "disk");
+           Report.mbit_s d.dr_mbit; string_of_int d.dr_accesses;
+           Report.us d.dr_fault_mean_us; Report.us d.dr_fault_p95_us;
+           Printf.sprintf "%d/%d/%d" t.cache_hits t.remote_hits
+             t.remote_misses ])
        r.b_cells);
   print_newline ();
   Printf.printf "hotspot fault-latency speedup (disk/tier): %s — tiered %s\n"
@@ -319,28 +282,19 @@ let bench_print r =
      else "does NOT beat disk-only")
 
 let bench_to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.b_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.b_duration));
-  let cell c =
-    Printf.sprintf
-      "{\"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \"accesses\": %d, \
-       \"fault_mean_us\": %s, \"fault_p95_us\": %s, \"cache_hits\": %d, \
-       \"remote_hits\": %d, \"remote_misses\": %d}"
-      c.bc_pattern c.bc_tiered (Report.jf3 c.bc_mbit) c.bc_accesses
-      (Report.jf c.bc_fault_mean_us)
-      (Report.jf c.bc_fault_p95_us)
-      c.bc_cache_hits c.bc_remote_hits c.bc_remote_misses
+  let open Report.Json in
+  let cell { bc_app = d; bc_tier = t } =
+    obj
+      [ ("pattern", str d.dr_pattern); ("tiered", bool d.dr_tiered);
+        ("mbit_s", jf3 d.dr_mbit); ("accesses", int d.dr_accesses);
+        ("fault_mean_us", jf d.dr_fault_mean_us);
+        ("fault_p95_us", jf d.dr_fault_p95_us);
+        ("cache_hits", int t.cache_hits); ("remote_hits", int t.remote_hits);
+        ("remote_misses", int t.remote_misses) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"cells\": [%s],\n"
-       (String.concat ", " (List.map cell r.b_cells)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"hot_speedup\": %s,\n" (Report.jf3 r.b_hot_speedup));
-  Buffer.add_string b
-    (Printf.sprintf "  \"hot_tiered_beats_disk\": %b\n"
-       r.b_hot_tiered_beats_disk);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.b_seed) ];
+      [ ("duration_s", secs r.b_duration) ];
+      [ ("cells", list (List.map cell r.b_cells)) ];
+      [ ("hot_speedup", jf3 r.b_hot_speedup) ];
+      [ ("hot_tiered_beats_disk", bool r.b_hot_tiered_beats_disk) ] ]

@@ -38,32 +38,13 @@ val ok : result -> bool
 val print : result -> unit
 val to_json : result -> string
 
-(** One (pattern, backend) cell of the remote-paging benchmark. *)
-type bench_cell = {
-  bc_pattern : string;
-  bc_tiered : bool;
-  bc_mbit : float;
-  bc_accesses : int;
-  bc_fault_mean_us : float;
-  bc_fault_p95_us : float;
-  bc_cache_hits : int;
-  bc_remote_hits : int;
-  bc_remote_misses : int;
-}
-
-type bench_result = {
-  b_seed : int;
-  b_duration : Time.span;
-  b_cells : bench_cell list;
-  b_hot_speedup : float;
-      (** disk-only mean fault latency over tiered, hotspot pattern *)
-  b_hot_tiered_beats_disk : bool;
-}
+type bench_result
 
 val bench : ?seed:int -> ?duration:Time.span -> unit -> bench_result
 (** Fault-free measurement: each pattern runs twice in its own fresh
     system — disk-only, then tiered — and reports throughput and
-    fault-service latency side by side. *)
+    fault-service latency side by side, with the hotspot speedup
+    (disk-only mean fault latency over tiered). *)
 
 val bench_print : bench_result -> unit
 val bench_to_json : bench_result -> string

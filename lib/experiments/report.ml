@@ -23,10 +23,7 @@ let table ~header rows =
     print_newline ()
   in
   print_row header;
-  List.iteri
-    (fun i w ->
-      Printf.printf "%s  " (String.make w (if i >= 0 then '-' else '-')))
-    (Array.to_list widths);
+  Array.iter (fun w -> Printf.printf "%s  " (String.make w '-')) widths;
   print_newline ();
   List.iter print_row rows
 
@@ -81,8 +78,6 @@ let f2 v = if Float.is_nan v then "nan" else Printf.sprintf "%.2f" v
 let f1 v = if Float.is_nan v then "nan" else Printf.sprintf "%.1f" v
 let mbit_s f = if Float.is_nan f then "warming" else f2 f
 let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
-let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
-let jf3 f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 
 let hist_table ?(unit_ = "us") rows =
   if rows = [] then print_endline "(no histogram data)"
@@ -100,6 +95,9 @@ let hist_table ?(unit_ = "us") rows =
              f1 (Obs.Metrics.hist_quantile v 0.95);
              f1 v.Obs.Metrics.hv_max ])
          rows)
+
+let verdict ok claim =
+  print_endline (if ok then "VERDICT: ok — " ^ claim else "VERDICT: FAILED")
 
 let audit_section title = function
   | None -> ()
@@ -121,3 +119,53 @@ let audit_section title = function
             Obs.Qos_audit.pp_violation v)
         s.recent
     end
+
+module Json = struct
+  type t = string
+
+  let str s =
+    let b = Buffer.create (String.length s + 2) in
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"';
+    Buffer.contents b
+
+  let int = string_of_int
+  let bool = string_of_bool
+  let null = "null"
+
+  let num digits f =
+    if Float.is_nan f then null else Printf.sprintf "%.*f" digits f
+
+  let jf = num 1
+  let jf3 = num 3
+  let secs span = num 0 (Engine.Time.to_sec span)
+  let embed record = record
+  let to_string v = v
+  let pair (k, v) = str k ^ ": " ^ v
+  let pairs ps = String.concat ", " (List.map pair ps)
+  let break indent = ",\n" ^ String.make indent ' '
+  let obj ps = "{" ^ pairs ps ^ "}"
+  let list vs = "[" ^ String.concat ", " vs ^ "]"
+
+  let obj_lines ~indent groups =
+    "{" ^ String.concat (break indent) (List.map pairs groups) ^ "}"
+
+  let column ~indent vs = "[" ^ String.concat (break indent) vs ^ "]"
+
+  let rows ~indent vs =
+    let pad = "\n" ^ String.make indent ' ' in
+    "[" ^ String.concat "," (List.map (( ^ ) pad) vs) ^ "\n  ]"
+
+  let record groups =
+    "{\n  " ^ String.concat (break 2) (List.map pairs groups) ^ "\n}"
+end

@@ -23,15 +23,13 @@ type result = {
   refusal_message : string;
   violations : int;
   audit : Obs.Qos_audit.summary;
-  frames_total : int;
-  frames_free : int;
-  frames_held : int;
-  frames_owned : int;
+  frames : Harness.frame_books;
   guaranteed_total : int;
-  books_balanced : bool;
   usd_utilisation : float;
   revocations : int;
 }
+
+let experiment = "scale"
 
 (* Per-domain sizing. Guarantees only (o = 0): the point of the scale
    run is many domains self-paging concurrently under honest admission
@@ -42,48 +40,36 @@ let swap_pages = 32
 
 let pattern_of i =
   let n = [| "seq"; "rand"; "hot" |].(i mod 3) in
-  (Harness.pattern ~experiment:"scale" n, n)
+  (Harness.pattern ~experiment n, n)
 
 let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
   if domains < 1 then invalid_arg "Scale.run: domains must be positive";
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
   (* Memory sized so every guarantee fits with ~25 % headroom left
      unguaranteed — tight enough that the late-comer refusal below is
      a real admission decision, not a formality. *)
-  let frames_wanted = domains * guarantee * 5 / 4 in
-  let frames_per_mb = 1024 * 1024 / Addr.page_size in
-  let mem_mb = max 2 ((frames_wanted + frames_per_mb - 1) / frames_per_mb) in
-  let config = { System.default_config with seed; main_memory_mb = mem_mb } in
-  let sys = System.create ~config () in
-  (* Flat contracts, scaled so the fleet books Σ s/p ≈ 0.77 of the CPU
-     and ≈ 0.8 of the disk whatever [domains] is. The disk period also
-     grows with the fleet: a disk transaction costs ~10 ms whatever the
-     slice (the short-block problem), so each client's per-period slice
-     must span whole transactions or EDF cannot possibly honour every
-     contract within the period and the auditor rightly objects. *)
-  let cpu_slice = Time.us (max 20 (7_700 / domains)) in
-  let usd_period_ms = max 400 (domains * 32) in
-  let usd_period = Time.ms usd_period_ms in
-  let usd_slice = Time.us (max 500 (usd_period_ms * 800 / domains)) in
-  let qos = Usbs.Qos.make ~period:usd_period ~slice:usd_slice () in
+  let sys =
+    Harness.observed_system
+      { System.default_config with
+        seed;
+        main_memory_mb =
+          Harness.memory_mb ~guaranteed:(domains * guarantee) ~extra:0 }
+  in
+  let cpu_slice, qos = Harness.flat_contracts domains in
   let apps =
     List.init domains (fun i ->
         let pattern, pname = pattern_of i in
         let name = Printf.sprintf "d%03d" i in
-        match
+        (* the first [domains] admissions are sized to fit; only the
+           deliberate 129th below may be refused *)
+        let app =
           Workload.Paging_app.start sys ~name
             ~mode:Workload.Paging_app.Paging_in ~qos
             ~vm_bytes:(vm_pages * Addr.page_size) ~phys_frames:guarantee
             ~optimistic:0 ~swap_bytes:(swap_pages * Addr.page_size)
             ~cpu_slice ~pattern ()
-        with
-        | Ok a -> (a, pname)
-        (* Setup failwith: the first [domains] admissions are sized to
-           fit; only the deliberate 129th below may be refused, and
-           that refusal is typed and asserted on. *)
-        | Error e -> failwith (Printf.sprintf "scale: %s: %s" name e))
+          |> Harness.expect ~experiment (Printf.sprintf "scale: %s: %s" name)
+        in
+        (app, pname))
   in
   (* The 129th domain: admission control must refuse it with the typed
      overcommit error carrying the exact shortfall. *)
@@ -94,13 +80,16 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
       System.add_domain sys ~name:"latecomer" ~cpu_slice:(Time.us 20)
         ~guarantee:over ~optimistic:0 ()
     with
-    | Ok _ -> failwith "scale: overcommitted admission was accepted"
+    | Ok _ ->
+      Harness.fail_verdict ~experiment
+        "scale: overcommitted admission was accepted"
     | Error
         (System.Frames_admission
            (Frames.Admission_overcommit { requested; available }) as e) ->
       (System.error_message e, requested, available)
     | Error e ->
-      failwith ("scale: unexpected refusal: " ^ System.error_message e)
+      Harness.fail_verdict ~experiment
+        ("scale: unexpected refusal: " ^ System.error_message e)
   in
   System.run ~until:duration sys;
   let agg pname =
@@ -125,21 +114,6 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
       pr_mbit = (if measured = [] then Float.nan else mbit) }
   in
   let patterns = List.map agg [ "seq"; "rand"; "hot" ] in
-  let held_sum =
-    List.fold_left
-      (fun acc d -> acc + Frames.held d.System.frames_client)
-      0 (System.domains sys)
-  in
-  let rt = System.ramtab sys in
-  let owned = ref 0 in
-  for pfn = 0 to Ramtab.nframes rt - 1 do
-    if Ramtab.owner rt ~pfn <> None then incr owned
-  done;
-  let frames_total = Frames.total_frames fr in
-  let frames_free = Frames.free_frames fr in
-  let books_balanced =
-    frames_free + held_sum = frames_total && !owned = held_sum
-  in
   let audit = Obs.Qos_audit.summarize () in
   { seed;
     domains;
@@ -158,19 +132,15 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
     refusal_message;
     violations = audit.Obs.Qos_audit.violations;
     audit;
-    frames_total;
-    frames_free;
-    frames_held = held_sum;
-    frames_owned = !owned;
+    frames = Harness.frame_books sys ~extra_held:0;
     guaranteed_total = Frames.guaranteed_total fr;
-    books_balanced;
     usd_utilisation = Usbs.Usd.utilisation (System.usd sys);
     revocations = Frames.revocations fr }
 
 let ok r =
-  r.violations = 0 && r.books_balanced && r.total_accesses > 0
+  r.violations = 0 && r.frames.fb_balanced && r.total_accesses > 0
   && r.measured_domains > 0
-  && r.refusal_available = r.frames_total - r.guaranteed_total
+  && r.refusal_available = r.frames.fb_total - r.guaranteed_total
   && r.refusal_requested = r.refusal_available + 1
 
 let print r =
@@ -189,61 +159,43 @@ let print r =
   Printf.printf
     "admission: %d domains × %d guaranteed frames = %d of %d; late-comer \
      asking %d refused (\"%s\")\n"
-    r.domains guarantee r.guaranteed_total r.frames_total r.refusal_requested
+    r.domains guarantee r.guaranteed_total r.frames.fb_total r.refusal_requested
     r.refusal_message;
-  Printf.printf
-    "frames: %d free + %d held = %d total; RamTab owns %d (%s)\n"
-    r.frames_free r.frames_held r.frames_total r.frames_owned
-    (if r.books_balanced then "books balance" else "BOOKS OFF");
+  Harness.print_frame_books r.frames;
   Printf.printf "disk utilisation booked: %s; intrusive revocations: %d\n\n"
     (Report.f2 r.usd_utilisation) r.revocations;
   Report.audit_section "Scale QoS audit" (Some r.audit);
-  print_endline
-    (if ok r then
-       "VERDICT: ok — fleet admitted and isolated, zero violations, \
-        books balance"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "fleet admitted and isolated, zero violations, books balance"
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b (Printf.sprintf "  \"domains\": %d,\n" r.domains);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
+  let open Report.Json in
   let pat p =
-    Printf.sprintf
-      "{\"pattern\": %S, \"domains\": %d, \"measured\": %d, \"accesses\": \
-       %d, \"mbit_s\": %s}"
-      p.pr_pattern p.pr_domains p.pr_measured p.pr_accesses
-      (Report.jf3 p.pr_mbit)
+    obj
+      [ ("pattern", str p.pr_pattern); ("domains", int p.pr_domains);
+        ("measured", int p.pr_measured); ("accesses", int p.pr_accesses);
+        ("mbit_s", jf3 p.pr_mbit) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"patterns\": [%s],\n"
-       (String.concat ", " (List.map pat r.patterns)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"total_accesses\": %d,\n" r.total_accesses);
-  Buffer.add_string b
-    (Printf.sprintf "  \"measured_domains\": %d,\n" r.measured_domains);
-  Buffer.add_string b
-    (Printf.sprintf "  \"aggregate_mbit_s\": %.3f,\n" r.aggregate_mbit);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"refusal\": {\"requested\": %d, \"available\": %d, \"message\": \
-        %S},\n"
-       r.refusal_requested r.refusal_available r.refusal_message);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"frames\": {\"total\": %d, \"free\": %d, \"held\": %d, \
-        \"owned\": %d, \"guaranteed\": %d, \"books_balanced\": %b},\n"
-       r.frames_total r.frames_free r.frames_held r.frames_owned
-       r.guaranteed_total r.books_balanced);
-  Buffer.add_string b
-    (Printf.sprintf "  \"usd_utilisation\": %.4f,\n" r.usd_utilisation);
-  Buffer.add_string b
-    (Printf.sprintf "  \"revocations\": %d,\n" r.revocations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"violations\": %d,\n" r.violations);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" (ok r));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("domains", int r.domains) ];
+      [ ("duration_s", secs r.duration) ];
+      [ ("patterns", list (List.map pat r.patterns)) ];
+      [ ("total_accesses", int r.total_accesses) ];
+      [ ("measured_domains", int r.measured_domains) ];
+      [ ("aggregate_mbit_s", jf3 r.aggregate_mbit) ];
+      [ ( "refusal",
+          obj
+            [ ("requested", int r.refusal_requested);
+              ("available", int r.refusal_available);
+              ("message", str r.refusal_message) ] ) ];
+      [ ( "frames",
+          obj
+            [ ("total", int r.frames.fb_total); ("free", int r.frames.fb_free);
+              ("held", int r.frames.fb_held); ("owned", int r.frames.fb_owned);
+              ("guaranteed", int r.guaranteed_total);
+              ("books_balanced", bool r.frames.fb_balanced) ] ) ];
+      [ ("usd_utilisation", num 4 r.usd_utilisation) ];
+      [ ("revocations", int r.revocations) ];
+      [ ("violations", int r.violations) ];
+      [ ("ok", bool (ok r)) ] ]

@@ -45,12 +45,8 @@ type result = {
   refusal_message : string;  (** rendered [System.error_message] *)
   violations : int;  (** QoS-audit total — must be 0 *)
   audit : Obs.Qos_audit.summary;
-  frames_total : int;
-  frames_free : int;
-  frames_held : int;  (** Σ held over live domains *)
-  frames_owned : int;  (** RamTab frames with an owner *)
+  frames : Harness.frame_books;
   guaranteed_total : int;
-  books_balanced : bool;
   usd_utilisation : float;
   revocations : int;
 }

@@ -14,8 +14,18 @@ type row = {
 
 let iterations = 200
 
-(* A driver that backs pages from an explicit pool handed to it; used
-   as scaffolding by several micro-benchmarks. *)
+(* The micro-benchmarks' drivers: [handler] serves both the fast and
+   the full fault path, and nothing is ever relinquished. *)
+let handler_driver name handler =
+  { Stretch_driver.name;
+    bind = (fun _ -> ());
+    fast = handler;
+    full = handler;
+    relinquish = (fun ~want:_ -> 0);
+    resident_pages = (fun () -> 0);
+    free_frames = (fun () -> 0) }
+
+(* A driver that backs pages from an explicit pool handed to it. *)
 let pool_driver env pool =
   let map_from_pool (fault : Fault.t) =
     match !pool with
@@ -25,31 +35,34 @@ let pool_driver env pool =
       Stretch_driver.Success
     | [] -> Stretch_driver.Failure "bench pool empty"
   in
-  { Stretch_driver.name = "bench-pool";
-    bind = (fun _ -> ());
-    fast = map_from_pool;
-    full = map_from_pool;
-    relinquish = (fun ~want:_ -> 0);
-    resident_pages = (fun () -> 0);
+  { (handler_driver "bench-pool" map_from_pool) with
     free_frames = (fun () -> List.length !pool) }
 
 (* --- dirty: examine a random PTE's dirty bit, user level. --- *)
 
-(* Setup failwiths (here and in the other benches): a bench that
+(* Setup failures (here and in the other benches): a bench that
    cannot build its world has no number to report, so construction
-   errors abort the run. Name resolution, by contrast, goes through
-   the registry with typed errors. *)
+   errors abort the run. *)
+let experiment = "table1"
+
+let alloc_stretch d ~pages =
+  System.alloc_stretch d ~bytes:(pages * Addr.page_size) ()
+  |> Harness.expect ~experiment Fun.id
+
+let alloc_frame sys d =
+  match Frames.alloc (System.frames sys) d.System.frames_client with
+  | Some pfn -> pfn
+  | None -> Harness.fail_verdict ~experiment "no frame"
+
+let set_rights msg r = Harness.expect ~experiment msg r
+
 let bench_dirty ~page_table () =
   let sys = Harness.fresh_system ~page_table () in
   let d = Harness.bench_domain sys ~name:"dirty" () in
-  let stretch =
-    match System.alloc_stretch d ~bytes:(100 * Addr.page_size) () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  (match System.bind_physical d ~prealloc:100 stretch with
-  | Ok _ -> ()
-  | Error e -> failwith (System.error_message e));
+  let stretch = alloc_stretch d ~pages:100 in
+  ignore
+    (System.bind_physical d ~prealloc:100 stretch
+    |> Harness.expect ~experiment System.error_message);
   let dom = d.System.dom in
   Harness.run_in_sim sys (fun () ->
       (* Touch every page (half with writes so some dirty bits differ). *)
@@ -76,27 +89,22 @@ let bench_dirty ~page_table () =
 let bench_prot ~page_table ~npages () =
   let sys = Harness.fresh_system ~page_table () in
   let d = Harness.bench_domain sys ~name:"prot" () in
-  let stretch =
-    match System.alloc_stretch d ~bytes:(npages * Addr.page_size) () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
+  let stretch = alloc_stretch d ~pages:npages in
   let pdom = Domains.pdom d.System.dom in
   let translation = System.translation sys in
   let protected_ = Rights.{ r = false; w = false; x = false; m = true } in
+  let error = Format.asprintf "%a" Translation.pp_error in
   let spans_pt =
     List.init iterations (fun i ->
         let rights = if i mod 2 = 0 then protected_ else Rights.rw_meta in
-        match Stretch.set_rights_pt stretch ~caller:pdom translation rights with
-        | Ok span -> span
-        | Error e -> failwith (Format.asprintf "%a" Translation.pp_error e))
+        set_rights error
+          (Stretch.set_rights_pt stretch ~caller:pdom translation rights))
   in
   let spans_pdom =
     List.init iterations (fun i ->
         let rights = if i mod 2 = 0 then protected_ else Rights.rw_meta in
-        match Stretch.set_rights_pdom stretch ~caller:pdom ~target:pdom rights with
-        | Ok span -> span
-        | Error e -> failwith (Format.asprintf "%a" Translation.pp_error e))
+        set_rights error
+          (Stretch.set_rights_pdom stretch ~caller:pdom ~target:pdom rights))
   in
   (Harness.mean_span spans_pt, Harness.mean_span spans_pdom)
 
@@ -105,19 +113,13 @@ let bench_prot ~page_table ~npages () =
 let bench_trap ~page_table () =
   let sys = Harness.fresh_system ~page_table () in
   let d = Harness.bench_domain sys ~name:"trap" () in
-  let stretch =
-    match System.alloc_stretch d ~bytes:Addr.page_size () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
+  let stretch = alloc_stretch d ~pages:1 in
   let pool = ref [] in
   Mm_entry.bind d.System.mm stretch (pool_driver d.System.env pool);
   let dom = d.System.dom in
   let sim = System.sim sys in
   Harness.run_in_sim sys (fun () ->
-      (match Frames.alloc (System.frames sys) d.System.frames_client with
-      | Some pfn -> pool := [ pfn ]
-      | None -> failwith "no frame");
+      pool := [ alloc_frame sys d ];
       let va = Stretch.page_base stretch 0 in
       let samples = ref [] in
       for _ = 1 to iterations do
@@ -136,12 +138,7 @@ let bench_appel1 ~page_table () =
   let sys = Harness.fresh_system ~page_table () in
   let d = Harness.bench_domain sys ~name:"appel1" () in
   let n = 100 in
-  let stretches =
-    Array.init n (fun _ ->
-        match System.alloc_stretch d ~bytes:Addr.page_size () with
-        | Ok s -> s
-        | Error e -> failwith e)
-  in
+  let stretches = Array.init n (fun _ -> alloc_stretch d ~pages:1) in
   let pdom = Domains.pdom d.System.dom in
   let by_sid = Hashtbl.create 64 in
   Array.iter (fun s -> Hashtbl.replace by_sid s.Stretch.sid s) stretches;
@@ -153,30 +150,23 @@ let bench_appel1 ~page_table () =
     match fault.Fault.kind with
     | Mmu.Access_violation ->
       let s = Hashtbl.find by_sid (Option.get fault.Fault.sid) in
-      (match Stretch.set_rights_pdom s ~caller:pdom ~target:pdom Rights.rw_meta with
-      | Ok span -> d.System.env.Stretch_driver.consume_cpu span
-      | Error _ -> failwith "unprot failed");
+      d.System.env.Stretch_driver.consume_cpu
+        (set_rights
+           (fun _ -> "unprot failed")
+           (Stretch.set_rights_pdom s ~caller:pdom ~target:pdom
+              Rights.rw_meta));
       (match !last_unprotected with
       | Some prev when prev != s ->
-        (match
-           Stretch.set_rights_pdom prev ~caller:pdom ~target:pdom meta_only
-         with
-        | Ok span -> d.System.env.Stretch_driver.consume_cpu span
-        | Error _ -> failwith "prot failed")
+        d.System.env.Stretch_driver.consume_cpu
+          (set_rights
+             (fun _ -> "prot failed")
+             (Stretch.set_rights_pdom prev ~caller:pdom ~target:pdom meta_only))
       | _ -> ());
       last_unprotected := Some s;
       Stretch_driver.Success
     | _ -> Stretch_driver.Failure "unexpected fault kind"
   in
-  let driver =
-    { Stretch_driver.name = "appel1";
-      bind = (fun _ -> ());
-      fast = handler;
-      full = handler;
-      relinquish = (fun ~want:_ -> 0);
-      resident_pages = (fun () -> 0);
-      free_frames = (fun () -> 0) }
-  in
+  let driver = handler_driver "appel1" handler in
   Array.iter (fun s -> Mm_entry.bind d.System.mm s driver) stretches;
   let dom = d.System.dom in
   let sim = System.sim sys in
@@ -184,14 +174,12 @@ let bench_appel1 ~page_table () =
       (* Map every page once, then protect everything (keep meta). *)
       Array.iter
         (fun s ->
-          (match Frames.alloc (System.frames sys) d.System.frames_client with
-          | Some pfn -> Stretch_driver.map_page d.System.env s.Stretch.base ~pfn
-          | None -> failwith "no frame");
-          match
-            Stretch.set_rights_pdom s ~caller:pdom ~target:pdom meta_only
-          with
-          | Ok _ -> ()
-          | Error _ -> failwith "initial protect failed")
+          Stretch_driver.map_page d.System.env s.Stretch.base
+            ~pfn:(alloc_frame sys d);
+          ignore
+            (set_rights
+               (fun _ -> "initial protect failed")
+               (Stretch.set_rights_pdom s ~caller:pdom ~target:pdom meta_only)))
         stretches;
       let rng = Rng.create ~seed:11 in
       let samples = ref [] in
@@ -214,11 +202,7 @@ let bench_appel2 ~page_table () =
   let sys = Harness.fresh_system ~page_table () in
   let d = Harness.bench_domain sys ~name:"appel2" () in
   let n = 100 in
-  let stretch =
-    match System.alloc_stretch d ~bytes:(n * Addr.page_size) () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
+  let stretch = alloc_stretch d ~pages:n in
   let pfns = Array.make n (-1) in
   let handler (fault : Fault.t) =
     match fault.Fault.kind with
@@ -228,26 +212,14 @@ let bench_appel2 ~page_table () =
       Stretch_driver.Success
     | _ -> Stretch_driver.Failure "unexpected fault kind"
   in
-  let driver =
-    { Stretch_driver.name = "appel2";
-      bind = (fun _ -> ());
-      fast = handler;
-      full = handler;
-      relinquish = (fun ~want:_ -> 0);
-      resident_pages = (fun () -> 0);
-      free_frames = (fun () -> 0) }
-  in
-  Mm_entry.bind d.System.mm stretch driver;
+  Mm_entry.bind d.System.mm stretch (handler_driver "appel2" handler);
   let dom = d.System.dom in
   let sim = System.sim sys in
   Harness.run_in_sim sys (fun () ->
       for i = 0 to n - 1 do
-        match Frames.alloc (System.frames sys) d.System.frames_client with
-        | Some pfn ->
-          pfns.(i) <- pfn;
-          Stretch_driver.map_page d.System.env (Stretch.page_base stretch i)
-            ~pfn
-        | None -> failwith "no frame"
+        pfns.(i) <- alloc_frame sys d;
+        Stretch_driver.map_page d.System.env (Stretch.page_base stretch i)
+          ~pfn:pfns.(i)
       done;
       let rng = Rng.create ~seed:13 in
       let rounds = 5 in

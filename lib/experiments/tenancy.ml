@@ -40,7 +40,7 @@ type result = {
   seg_fills : int;
   seg_hits : int;
   seg_resident : int;
-  reg_books : Share.Registry.books;
+  reg_books : Share.Shared_frames.books;
   reg_balanced : bool;
   refs_leaked : int;
   (* residency *)
@@ -61,16 +61,14 @@ type result = {
   fault_mean_us : float;
   fault_p95_us : float;
   (* system books *)
-  frames_total : int;
-  frames_free : int;
-  frames_held : int;
-  frames_owned : int;
-  books_balanced : bool;
+  frames : Harness.frame_books;
   bystander_violations : int;
   violations : int;
   inject_accounted : bool;
   audit : Obs.Qos_audit.summary;
 }
+
+let experiment = "tenancy"
 
 (* Geometry. The template owns [tpl_pages]; tenants read the low
    [tpl_pages - wspan] pages shared and write a rotating window over
@@ -87,34 +85,12 @@ let reg_guarantee = tpl_pages + seg_pages + 4
 let zpool_optimistic = 16
 let zpool_budget = 12
 
-(* Merge the per-tenant fault-latency histograms (labels [t...]) into
-   one (count, mean, p95-upper-bound) triple. *)
+(* The per-tenant fault-latency histograms (labels [t...]) pooled. *)
 let tenant_fault_stats () =
-  let views =
-    List.filter_map
-      (fun label ->
-        if String.length label > 0 && label.[0] = 't' then
-          Obs.Metrics.hist_view ~label "fault.latency_us"
-        else None)
-      (Obs.Metrics.labels_of "fault.latency_us")
-  in
-  let count = List.fold_left (fun a v -> a + v.Obs.Metrics.hv_count) 0 views in
-  if count = 0 then (0, Float.nan, Float.nan)
-  else begin
-    let mean =
-      List.fold_left
-        (fun a v ->
-          a +. (v.Obs.Metrics.hv_mean *. float_of_int v.Obs.Metrics.hv_count))
-        0.0 views
-      /. float_of_int count
-    in
-    let p95 =
-      List.fold_left
-        (fun a v -> Float.max a (Obs.Metrics.hist_quantile v 0.95))
-        0.0 views
-    in
-    (count, mean, p95)
-  end
+  Harness.pooled_faults
+    (List.filter
+       (fun label -> String.length label > 0 && label.[0] = 't')
+       (Obs.Metrics.labels_of "fault.latency_us"))
 
 type tenant_rec = {
   tr_name : string;
@@ -127,10 +103,21 @@ type tenant_rec = {
 let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
     ?(share = true) ?(zram = true) () =
   if tenants < 2 then invalid_arg "Tenancy.run: need at least 2 tenants";
-  Obs.set_enabled true;
-  Obs.reset ();
-  Obs.Qos_audit.reset ();
-  Inject.disarm ();
+  (* Memory: every guarantee fits, plus headroom for the optimistic
+     holdings (tenant windows, the zpool's budget). *)
+  let guaranteed =
+    tpl_guarantee + (tenants * tenant_guarantee) + reg_guarantee
+    + (2 * tenant_guarantee) (* bystanders *)
+    + tenant_guarantee (* proto *)
+  in
+  let sys =
+    Harness.observed_system
+      { System.default_config with
+        seed;
+        main_memory_mb =
+          Harness.memory_mb ~guaranteed
+            ~extra:(zpool_optimistic + (tenants * tenant_optimistic)) }
+  in
   if zram then
     Inject.arm
       { Inject.default_plan with
@@ -139,95 +126,64 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
           Some
             { Inject.zp_period = Time.sec 8; zp_hold = Time.sec 2;
               zp_shrink = zpool_budget } };
-  (* Memory: every guarantee fits, plus headroom for the optimistic
-     holdings (tenant windows, the zpool's budget). *)
-  let guaranteed =
-    tpl_guarantee + (tenants * tenant_guarantee) + reg_guarantee
-    + (2 * tenant_guarantee) (* bystanders *)
-    + tenant_guarantee (* proto *)
-  in
-  let frames_wanted =
-    (guaranteed * 5 / 4) + zpool_optimistic + (tenants * tenant_optimistic)
-  in
-  let frames_per_mb = 1024 * 1024 / Addr.page_size in
-  let mem_mb = max 2 ((frames_wanted + frames_per_mb - 1) / frames_per_mb) in
-  let config = { System.default_config with seed; main_memory_mb = mem_mb } in
-  let sys = System.create ~config () in
   let sim = System.sim sys in
-  let ndoms = tenants + 3 in
-  let cpu_slice = Time.us (max 20 (7_700 / ndoms)) in
-  let usd_period_ms = max 400 (ndoms * 32) in
-  let usd_period = Time.ms usd_period_ms in
-  let usd_slice = Time.us (max 500 (usd_period_ms * 800 / ndoms)) in
-  let qos () = Usbs.Qos.make ~period:usd_period ~slice:usd_slice () in
+  let cpu_slice, qos = Harness.flat_contracts (tenants + 3) in
+  let admit what r =
+    Harness.expect ~experiment
+      (fun e -> Printf.sprintf "tenancy: %s: %s" what (System.error_message e))
+      r
+  in
   let reg =
-    match Share.Registry.create sys ~guarantee:reg_guarantee with
-    | Ok r -> r
-    (* Setup failwiths throughout: the tenant fleet admits by
-       construction; a refusal or stacking error while building the
-       world is an experiment bug, not a measurable outcome. *)
-    | Error e -> failwith ("tenancy: registry: " ^ System.error_message e)
+    Share.Shared_frames.create sys ~guarantee:reg_guarantee |> admit "registry"
   in
   let seg = Share.Seg.create ~reg ~name:"text" ~npages:seg_pages () in
   let zpool =
     if not zram then None
     else
-      match System.admit_service sys ~guarantee:0 ~optimistic:zpool_optimistic with
-      | Error e -> failwith ("tenancy: zpool admit: " ^ System.error_message e)
-      | Ok (_, client) ->
-        Some
-          (Share.Zpool.create ~sim ~frames:(System.frames sys) ~client
-             ~ramtab:(System.ramtab sys) ~budget:zpool_budget ())
+      let _, client =
+        System.admit_service sys ~guarantee:0 ~optimistic:zpool_optimistic
+        |> admit "zpool admit"
+      in
+      Some
+        (Share.Zpool.create ~sim ~frames:(System.frames sys) ~client
+           ~ramtab:(System.ramtab sys) ~budget:zpool_budget ())
   in
   (* Bystanders: ordinary self-paging applications whose QoS must be
      untouched by anything the tenant fleet does. *)
   let bystanders =
     List.map
       (fun (name, pattern) ->
-        match
+        ( name,
           Workload.Paging_app.start sys ~name
-            ~mode:Workload.Paging_app.Paging_in ~qos:(qos ())
+            ~mode:Workload.Paging_app.Paging_in ~qos
             ~vm_bytes:(16 * Addr.page_size) ~phys_frames:tenant_guarantee
             ~optimistic:0 ~swap_bytes:(32 * Addr.page_size) ~cpu_slice
-            ~pattern ()
-        with
-        | Ok a -> a
-        | Error e -> failwith (Printf.sprintf "tenancy: %s: %s" name e))
-      [ ("bystander0", Harness.pattern ~experiment:"tenancy" "seq");
-        ("bystander1", Harness.pattern ~experiment:"tenancy" "hot") ]
+            ~pattern:(Harness.pattern ~experiment pattern) ()
+          |> Harness.expect ~experiment (Printf.sprintf "tenancy: %s: %s" name)
+        ))
+      [ ("bystander0", "seq"); ("bystander1", "hot") ]
   in
   (* The template: a domain big enough to keep the whole image
      resident for the freeze. *)
   let template =
-    match
-      System.add_domain sys ~name:"template" ~cpu_slice
-        ~guarantee:tpl_guarantee ~optimistic:0 ()
-    with
-    | Ok d -> d
-    | Error e -> failwith ("tenancy: template: " ^ System.error_message e)
+    System.add_domain sys ~name:"template" ~cpu_slice ~guarantee:tpl_guarantee
+      ~optimistic:0 ()
+    |> admit "template"
   in
-  let tpl_stretch, tpl_handle =
-    match
-      System.alloc_stretch template ~bytes:(tpl_pages * Addr.page_size) ()
-    with
-    | Error msg -> failwith ("tenancy: template stretch: " ^ msg)
-    | Ok s ->
-      (match
-         System.bind_paged template ~initial_frames:tpl_pages
-           ~swap_bytes:(2 * tpl_pages * Addr.page_size) ~qos:(qos ()) s ()
-       with
-      | Error e ->
-        failwith ("tenancy: template pager: " ^ System.error_message e)
-      | Ok (_, h) -> (s, h))
+  let tpl_stretch =
+    System.alloc_stretch template ~bytes:(tpl_pages * Addr.page_size) ()
+    |> Harness.expect ~experiment (( ^ ) "tenancy: template stretch: ")
+  in
+  let _, tpl_handle =
+    System.bind_paged template ~initial_frames:tpl_pages
+      ~swap_bytes:(2 * tpl_pages * Addr.page_size) ~qos tpl_stretch ()
+    |> admit "template pager"
   in
   (* The envelope donor: tenants are admitted under this spec. *)
   let proto =
-    match
-      System.add_domain sys ~name:"proto" ~cpu_slice
-        ~guarantee:tenant_guarantee ~optimistic:tenant_optimistic ()
-    with
-    | Ok d -> d
-    | Error e -> failwith ("tenancy: proto: " ^ System.error_message e)
+    System.add_domain sys ~name:"proto" ~cpu_slice ~guarantee:tenant_guarantee
+      ~optimistic:tenant_optimistic ()
+    |> admit "proto"
   in
   let frozen : Share.Cow.template Sync.Ivar.t = Sync.Ivar.create () in
   (* Template thread: warm the image (unless this is the no-share
@@ -303,32 +259,24 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
          System.kill_domain sys template;
          for i = 0 to tenants - 1 do
            let name = Printf.sprintf "t%02d" i in
-           match
+           let d, (cow, stretch) =
              Share.Cow.spawn sys ~template:tpl ~tpl_domain:proto ~name
                ?backing:
-                 (match backing with
-                 | None -> None
-                 | Some mk -> Some (mk (Printf.sprintf "zram.%s" name)))
+                 (Option.map (fun mk -> mk ("zram." ^ name)) backing)
                ~initial_frames:2 ~npages:tpl_pages
-               ~swap_bytes:(2 * tpl_pages * Addr.page_size) ~qos:(qos ()) ()
-           with
-           | Error e ->
-             failwith
-               (Printf.sprintf "tenancy: %s: %s" name (System.error_message e))
-           | Ok (d, (cow, stretch)) ->
-             (match Share.Seg.attach seg d with
-             | Error e ->
-               failwith
-                 (Printf.sprintf "tenancy: %s seg: %s" name
-                    (System.error_message e))
-             | Ok (att, seg_stretch) ->
-               recs :=
-                 { tr_name = name; tr_dom = d; tr_cow = cow; tr_seg = att;
-                   tr_live = true }
-                 :: !recs;
-               ignore
-                 (Domains.spawn_thread d.System.dom ~name:(name ^ ".work")
-                    (fun () -> tenant_thread d stretch seg_stretch)))
+               ~swap_bytes:(2 * tpl_pages * Addr.page_size) ~qos ()
+             |> admit name
+           in
+           let att, seg_stretch =
+             Share.Seg.attach seg d |> admit (name ^ " seg")
+           in
+           recs :=
+             { tr_name = name; tr_dom = d; tr_cow = cow; tr_seg = att;
+               tr_live = true }
+             :: !recs;
+           ignore
+             (Domains.spawn_thread d.System.dom ~name:(name ^ ".work")
+                (fun () -> tenant_thread d stretch seg_stretch))
          done;
          recs := List.rev !recs;
          Proc.sleep_until (Time.add Time.zero (Time.to_ns duration / 2));
@@ -343,7 +291,6 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
            !recs));
   System.run ~until:duration sys;
   (* ---- books ---------------------------------------------------- *)
-  let fr = System.frames sys in
   let rt = System.ramtab sys in
   let live = List.filter (fun tr -> tr.tr_live) !recs in
   let tenant_frames =
@@ -362,8 +309,8 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
       0 live
     + tenant_frames
   in
-  let reg_books = Share.Registry.books reg in
-  let shared_frames = reg_books.Share.Registry.b_live_frames in
+  let reg_books = Share.Shared_frames.books reg in
+  let shared_frames = reg_books.Share.Shared_frames.b_live_frames in
   let frames_per_content =
     if tenant_frames + shared_frames = 0 then Float.nan
     else
@@ -374,22 +321,9 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
   for pfn = 0 to Ramtab.nframes rt - 1 do
     total_refs := !total_refs + Ramtab.refs rt ~pfn
   done;
-  let refs_leaked = !total_refs - reg_books.Share.Registry.b_live_refs in
-  let held_sum =
-    List.fold_left
-      (fun acc d -> acc + Frames.held d.System.frames_client)
-      0 (System.domains sys)
-    + Frames.held (Share.Registry.client reg)
-    + (match zpool with Some z -> Share.Zpool.frames_held z | None -> 0)
-  in
-  let owned = ref 0 in
-  for pfn = 0 to Ramtab.nframes rt - 1 do
-    if Ramtab.owner rt ~pfn <> None then incr owned
-  done;
-  let frames_total = Frames.total_frames fr in
-  let frames_free = Frames.free_frames fr in
-  let books_balanced =
-    frames_free + held_sum = frames_total && !owned = held_sum
+  let refs_leaked = !total_refs - reg_books.Share.Shared_frames.b_live_refs in
+  let zpool_frames =
+    match zpool with Some z -> Share.Zpool.frames_held z | None -> 0
   in
   let break_mean_us, break_p95_us =
     match Obs.Metrics.hist_view "share.break_us" with
@@ -399,12 +333,9 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
   let fault_count, fault_mean_us, fault_p95_us = tenant_fault_stats () in
   let audit = Obs.Qos_audit.summarize () in
   let bystander_violations =
-    Harness.violations_for
-      ~names:[ "bystander0"; "bystander1" ]
-      ~ids:
-        (List.map
-           (fun a -> Domains.id (Workload.Paging_app.domain a).System.dom)
-           bystanders)
+    List.fold_left
+      (fun n (name, app) -> n + Harness.app_violations name app)
+      0 bystanders
   in
   { seed;
     tenants;
@@ -422,7 +353,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
     seg_hits = Obs.Metrics.sum_labels "seg.hit";
     seg_resident = Share.Seg.resident seg;
     reg_books;
-    reg_balanced = Share.Registry.books_balanced reg;
+    reg_balanced = Share.Shared_frames.books_balanced reg;
     refs_leaked;
     resident_pages;
     tenant_frames;
@@ -439,16 +370,15 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
       | Some v -> v.Obs.Metrics.hv_mean
       | None -> Float.nan);
     zpool_stats = (match zpool with Some z -> Some (Share.Zpool.stats z) | None -> None);
-    zpool_frames = (match zpool with Some z -> Share.Zpool.frames_held z | None -> 0);
+    zpool_frames;
     zpool_bursts = (Inject.tally ()).Inject.zpool_bursts;
     fault_count;
     fault_mean_us;
     fault_p95_us;
-    frames_total;
-    frames_free;
-    frames_held = held_sum;
-    frames_owned = !owned;
-    books_balanced;
+    frames =
+      Harness.frame_books sys
+        ~extra_held:
+          (Frames.held (Share.Shared_frames.client reg) + zpool_frames);
     bystander_violations;
     violations = audit.Obs.Qos_audit.violations;
     inject_accounted = Inject.accounted ();
@@ -456,7 +386,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
 
 
 let ok r =
-  r.bystander_violations = 0 && r.reg_balanced && r.books_balanced
+  r.bystander_violations = 0 && r.reg_balanced && r.frames.fb_balanced
   && r.refs_leaked = 0
   && r.killed = r.tenants / 2
   && r.inject_accounted
@@ -492,10 +422,10 @@ let print r =
   Printf.printf
     "registry: %d installs - %d frees = %d live frames; %d grants - %d \
      breaks - %d detaches = %d live refs (%s)\n"
-    b.Share.Registry.b_installs b.Share.Registry.b_frees
-    b.Share.Registry.b_live_frames b.Share.Registry.b_grants
-    b.Share.Registry.b_breaks b.Share.Registry.b_detaches
-    b.Share.Registry.b_live_refs
+    b.Share.Shared_frames.b_installs b.Share.Shared_frames.b_frees
+    b.Share.Shared_frames.b_live_frames b.Share.Shared_frames.b_grants
+    b.Share.Shared_frames.b_breaks b.Share.Shared_frames.b_detaches
+    b.Share.Shared_frames.b_live_refs
     (if r.reg_balanced then "books balance" else "BOOKS OFF");
   Printf.printf
     "residency: %d resident pages on %d tenant + %d shared frames = %s \
@@ -516,78 +446,78 @@ let print r =
   Printf.printf
     "tenant faults: %d, mean %s us, p95 <= %s us\n"
     r.fault_count (fnum r.fault_mean_us) (fnum r.fault_p95_us);
-  Printf.printf "frames: %d free + %d held = %d total; RamTab owns %d (%s)\n\n"
-    r.frames_free r.frames_held r.frames_total r.frames_owned
-    (if r.books_balanced then "books balance" else "BOOKS OFF");
+  Harness.print_frame_books r.frames;
+  print_newline ();
   Report.audit_section "Tenancy QoS audit" (Some r.audit);
   Printf.printf "bystander violations: %d\n" r.bystander_violations;
-  print_endline
-    (if ok r then
-       "VERDICT: ok — one copy per shared page, balanced books through \
-        the kills, bystanders untouched"
-     else "VERDICT: FAILED")
+  Report.verdict (ok r)
+    "one copy per shared page, balanced books through the kills, bystanders \
+     untouched"
 
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s) fmt in
-  line "  \"seed\": %d,\n" r.seed;
-  line "  \"tenants\": %d,\n" r.tenants;
-  line "  \"killed\": %d,\n" r.killed;
-  line "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration);
-  line "  \"share\": %b,\n" r.share;
-  line "  \"zram\": %b,\n" r.zram;
-  line
-    "  \"template\": {\"pages\": %d, \"frozen\": %d},\n"
-    r.template_pages r.template_frozen;
-  line
-    "  \"cow\": {\"shared_faults\": %d, \"breaks\": %d, \"break_mean_us\": \
-     %s, \"break_p95_us\": %s},\n"
-    r.cow_shared_faults r.cow_breaks (Report.jf3 r.break_mean_us)
-    (Report.jf3 r.break_p95_us);
-  line
-    "  \"seg\": {\"fills\": %d, \"hits\": %d, \"resident\": %d},\n"
-    r.seg_fills r.seg_hits r.seg_resident;
+  let open Report.Json in
   let bk = r.reg_books in
-  line
-    "  \"registry\": {\"installs\": %d, \"frees\": %d, \"grants\": %d, \
-     \"breaks\": %d, \"detaches\": %d, \"live_frames\": %d, \"live_refs\": \
-     %d, \"balanced\": %b, \"refs_leaked\": %d},\n"
-    bk.Share.Registry.b_installs bk.Share.Registry.b_frees
-    bk.Share.Registry.b_grants bk.Share.Registry.b_breaks
-    bk.Share.Registry.b_detaches bk.Share.Registry.b_live_frames
-    bk.Share.Registry.b_live_refs r.reg_balanced r.refs_leaked;
-  line
-    "  \"residency\": {\"resident_pages\": %d, \"tenant_frames\": %d, \
-     \"shared_frames\": %d, \"pages_per_frame\": %s},\n"
-    r.resident_pages r.tenant_frames r.shared_frames
-    (Report.jf3 r.frames_per_content);
-  (match r.zpool_stats with
-  | None -> line "  \"zram_tier\": null,\n"
-  | Some z ->
-    line
-      "  \"zram_tier\": {\"hits\": %d, \"misses\": %d, \"pool_frames\": %d, \
-       \"stored\": %d, \"incompressible\": %d, \"overflow\": %d, \
-       \"shed_frames\": %d, \"bursts\": %d, \"hit_mean_us\": %s, \
-       \"miss_mean_us\": %s},\n"
-      r.zram_hits r.zram_misses r.zpool_frames z.Share.Zpool.z_stored
-      z.Share.Zpool.z_incompressible z.Share.Zpool.z_overflow
-      z.Share.Zpool.z_shed_frames r.zpool_bursts
-      (Report.jf3 r.zram_hit_mean_us)
-      (Report.jf3 r.zram_miss_mean_us));
-  line
-    "  \"faults\": {\"count\": %d, \"mean_us\": %s, \"p95_us\": %s},\n"
-    r.fault_count (Report.jf3 r.fault_mean_us)
-    (Report.jf3 r.fault_p95_us);
-  line
-    "  \"frames\": {\"total\": %d, \"free\": %d, \"held\": %d, \"owned\": \
-     %d, \"books_balanced\": %b},\n"
-    r.frames_total r.frames_free r.frames_held r.frames_owned
-    r.books_balanced;
-  line "  \"bystander_violations\": %d,\n" r.bystander_violations;
-  line "  \"violations\": %d,\n" r.violations;
-  line "  \"inject_accounted\": %b,\n" r.inject_accounted;
-  line "  \"ok\": %b\n" (ok r);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  record
+    [ [ ("seed", int r.seed) ];
+      [ ("tenants", int r.tenants) ];
+      [ ("killed", int r.killed) ];
+      [ ("duration_s", secs r.duration) ];
+      [ ("share", bool r.share) ];
+      [ ("zram", bool r.zram) ];
+      [ ( "template",
+          obj
+            [ ("pages", int r.template_pages);
+              ("frozen", int r.template_frozen) ]
+        ) ];
+      [ ( "cow",
+          obj
+            [ ("shared_faults", int r.cow_shared_faults);
+              ("breaks", int r.cow_breaks);
+              ("break_mean_us", jf3 r.break_mean_us);
+              ("break_p95_us", jf3 r.break_p95_us) ] ) ];
+      [ ( "seg",
+          obj
+            [ ("fills", int r.seg_fills); ("hits", int r.seg_hits);
+              ("resident", int r.seg_resident) ] ) ];
+      [ ( "registry",
+          obj
+            [ ("installs", int bk.b_installs); ("frees", int bk.b_frees);
+              ("grants", int bk.b_grants); ("breaks", int bk.b_breaks);
+              ("detaches", int bk.b_detaches);
+              ("live_frames", int bk.b_live_frames);
+              ("live_refs", int bk.b_live_refs);
+              ("balanced", bool r.reg_balanced);
+              ("refs_leaked", int r.refs_leaked) ] ) ];
+      [ ( "residency",
+          obj
+            [ ("resident_pages", int r.resident_pages);
+              ("tenant_frames", int r.tenant_frames);
+              ("shared_frames", int r.shared_frames);
+              ("pages_per_frame", jf3 r.frames_per_content) ] ) ];
+      [ ( "zram_tier",
+          match r.zpool_stats with
+          | None -> null
+          | Some z ->
+            obj
+              [ ("hits", int r.zram_hits); ("misses", int r.zram_misses);
+                ("pool_frames", int r.zpool_frames); ("stored", int z.z_stored);
+                ("incompressible", int z.z_incompressible);
+                ("overflow", int z.z_overflow);
+                ("shed_frames", int z.z_shed_frames);
+                ("bursts", int r.zpool_bursts);
+                ("hit_mean_us", jf3 r.zram_hit_mean_us);
+                ("miss_mean_us", jf3 r.zram_miss_mean_us) ] ) ];
+      [ ( "faults",
+          obj
+            [ ("count", int r.fault_count); ("mean_us", jf3 r.fault_mean_us);
+              ("p95_us", jf3 r.fault_p95_us) ] ) ];
+      [ ( "frames",
+          obj
+            [ ("total", int r.frames.fb_total); ("free", int r.frames.fb_free);
+              ("held", int r.frames.fb_held); ("owned", int r.frames.fb_owned);
+              ("books_balanced", bool r.frames.fb_balanced) ] ) ];
+      [ ("bystander_violations", int r.bystander_violations) ];
+      [ ("violations", int r.violations) ];
+      [ ("inject_accounted", bool r.inject_accounted) ];
+      [ ("ok", bool (ok r)) ] ]

@@ -46,7 +46,7 @@ type result = {
   seg_fills : int;
   seg_hits : int;
   seg_resident : int;
-  reg_books : Share.Registry.books;
+  reg_books : Share.Shared_frames.books;
   reg_balanced : bool;
   refs_leaked : int;  (** RamTab refs not accounted to the registry *)
   (* residency *)
@@ -67,11 +67,7 @@ type result = {
   fault_mean_us : float;
   fault_p95_us : float;
   (* system books *)
-  frames_total : int;
-  frames_free : int;
-  frames_held : int;
-  frames_owned : int;
-  books_balanced : bool;
+  frames : Harness.frame_books;
   bystander_violations : int;
   violations : int;
   inject_accounted : bool;

@@ -24,7 +24,7 @@ let cow_rights = { Rights.r = true; w = false; x = false; m = true }
 
 type template = {
   tpl_name : string;
-  tpl_reg : Registry.t;
+  tpl_reg : Shared_frames.t;
   tpl_npages : int;
   tpl_frames : int option array;  (* template page -> shared pfn *)
   mutable tpl_tenants : int;
@@ -53,7 +53,7 @@ let freeze ~reg ~name (d : System.domain) (handle : Sd_paged.handle)
     (fun (page, pfn) ->
       if page < npages then
         match
-          Registry.adopt_frame reg ~src:d.System.frames_client ~pfn
+          Shared_frames.adopt_frame reg ~src:d.System.frames_client ~pfn
             ~on_free:(fun () -> t.tpl_frames.(page) <- None)
         with
         | Ok () -> t.tpl_frames.(page) <- Some pfn
@@ -103,7 +103,7 @@ let map_template c page =
   | Some pfn ->
     let va = Stretch.page_base (the_stretch c) page in
     (match
-       Registry.map c.c_tpl.tpl_reg ~pdom:c.c_env.Stretch_driver.pdom ~va
+       Shared_frames.map c.c_tpl.tpl_reg ~pdom:c.c_env.Stretch_driver.pdom ~va
          ~pfn ~charge:c.c_env.Stretch_driver.consume_cpu
      with
     | Ok () ->
@@ -141,7 +141,7 @@ let break_share c page ~was_shared =
     env.Stretch_driver.consume_cpu env.Stretch_driver.cost.Cost.page_zero;
     if was_shared then
       ignore
-        (Registry.unmap c.c_tpl.tpl_reg ~pdom:env.Stretch_driver.pdom ~va
+        (Shared_frames.unmap c.c_tpl.tpl_reg ~pdom:env.Stretch_driver.pdom ~va
            ~reason:`Break ~charge:env.Stretch_driver.consume_cpu);
     go_private c page;
     Stretch_driver.map_page env va ~pfn;
@@ -209,7 +209,7 @@ let detach c =
         if st = Shared then begin
           let va = Stretch.page_base s page in
           ignore
-            (Registry.unmap c.c_tpl.tpl_reg
+            (Shared_frames.unmap c.c_tpl.tpl_reg
                ~pdom:c.c_env.Stretch_driver.pdom ~va ~reason:`Detach
                ~charge:ignore);
           c.c_status.(page) <- Untouched;

@@ -1,7 +1,7 @@
 (** Copy-on-write stretch sharing over stacked pagers.
 
     A {e template} domain warms a paged stretch, then {!freeze}
-    surrenders its resident pages to the share {!Registry}. Each
+    surrenders its resident pages to the share {!Shared_frames}. Each
     {!spawn}ed tenant gets a fresh domain (admitted under the
     template's resource envelope), its own full inner paged stack
     ({!Core.Sd_paged}, optionally over {!Sd_zram}) and a CoW driver
@@ -40,11 +40,11 @@ exception Not_bound of { driver : string }
 type template
 
 val freeze :
-  reg:Registry.t -> name:string -> System.domain -> Sd_paged.handle ->
+  reg:Shared_frames.t -> name:string -> System.domain -> Sd_paged.handle ->
   npages:int -> template
 (** Settle and surrender the template stretch's resident pages
     ({!Core.Sd_paged.surrender_resident}) and move their frames to the
-    share host ({!Registry.adopt_frame}) — after this the template
+    share host ({!Shared_frames.adopt_frame}) — after this the template
     domain may die without stranding tenants. Pages not resident at
     freeze (never touched, or evicted) have no shared frame; tenants
     fault them privately. *)

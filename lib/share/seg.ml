@@ -12,7 +12,7 @@ open Core
 
 type t = {
   sg_name : string;
-  sg_reg : Registry.t;
+  sg_reg : Shared_frames.t;
   sg_npages : int;
   sg_frames : int option array;  (* page -> the one resident copy *)
   sg_fill : Time.span;
@@ -68,7 +68,7 @@ let map_resident a page =
   | Some pfn ->
     let va = Stretch.page_base (the_stretch a) page in
     (match
-       Registry.map a.a_seg.sg_reg ~pdom:a.a_env.Stretch_driver.pdom ~va
+       Shared_frames.map a.a_seg.sg_reg ~pdom:a.a_env.Stretch_driver.pdom ~va
          ~pfn ~charge:a.a_env.Stretch_driver.consume_cpu
      with
     | Ok () ->
@@ -110,7 +110,7 @@ let full a (fault : Fault.t) =
       if a.a_mapped.(page) then Stretch_driver.Success
       else if map_resident a page then Stretch_driver.Success
       else (
-        match Registry.alloc_shared seg.sg_reg
+        match Shared_frames.alloc_shared seg.sg_reg
                 ~on_free:(fun () -> seg.sg_frames.(page) <- None)
         with
         | None -> Stretch_driver.Failure "segment: out of shared frames"
@@ -119,7 +119,7 @@ let full a (fault : Fault.t) =
           (match seg.sg_frames.(page) with
           | Some _ ->
             (* lost the race while filling *)
-            Registry.cancel seg.sg_reg ~pfn
+            Shared_frames.cancel seg.sg_reg ~pfn
           | None ->
             seg.sg_frames.(page) <- Some pfn;
             seg.sg_fills <- seg.sg_fills + 1;
@@ -137,7 +137,7 @@ let detach a =
       (fun page m ->
         if m then begin
           ignore
-            (Registry.unmap a.a_seg.sg_reg
+            (Shared_frames.unmap a.a_seg.sg_reg
                ~pdom:a.a_env.Stretch_driver.pdom
                ~va:(Stretch.page_base s page) ~reason:`Detach ~charge:ignore);
           a.a_mapped.(page) <- false

@@ -27,7 +27,7 @@ exception Not_bound of { driver : string }
     ["Seg: driver not bound"] string. *)
 
 val create :
-  reg:Registry.t -> name:string -> npages:int -> ?fill:Time.span ->
+  reg:Shared_frames.t -> name:string -> npages:int -> ?fill:Time.span ->
   unit -> t
 (** [fill] (default 50us) is the per-page materialization delay —
     fetching the segment's contents from wherever "text" lives. *)

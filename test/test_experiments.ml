@@ -175,8 +175,35 @@ let revocation_protocol () =
   checkb "uncooperative domain killed" true r.Ablations.uncooperative_killed;
   checkb "requester satisfied anyway" true r.Ablations.killed_requester_satisfied
 
+(* --- The record emitter --- *)
+
+let report_json_layout () =
+  let open Report.Json in
+  let checks = Alcotest.(check string) in
+  checks "line groups, inline values, NaN as null"
+    "{\n  \"a\": 1, \"b\": true,\n  \"o\": {\"x\": null, \"y\": 2.500},\n  \
+     \"l\": [1.2, 3]\n}"
+    (record
+       [ [ ("a", int 1); ("b", bool true) ];
+         [ ("o", obj [ ("x", jf nan); ("y", jf3 2.5) ]) ];
+         [ ("l", list [ jf 1.23; secs (Time.sec 3) ]) ] ]);
+  checks "string escapes"
+    "\"q\\\"b\\\\n\\nt\\t\\u0001\""
+    (to_string (str "q\"b\\n\nt\t\001"));
+  checks "multi-line layouts"
+    "{\n  \"r\": [\n    1,\n    2\n  ],\n  \"c\": [1,\n   2],\n  \
+     \"o\": {\"a\": 1,\n    \"b\": 2},\n  \"e\": {\n  \"x\": 0\n}\n}"
+    (record
+       [ [ ("r", rows ~indent:4 [ int 1; int 2 ]) ];
+         [ ("c", column ~indent:3 [ int 1; int 2 ]) ];
+         [ ("o", obj_lines ~indent:4 [ [ ("a", int 1) ]; [ ("b", int 2) ] ]) ];
+         [ ("e", embed (record [ [ ("x", int 0) ] ])) ] ])
+
 let suite =
-  [ ( "experiments.table1",
+  [ ( "experiments.report",
+      [ Alcotest.test_case "Json layout and escaping" `Quick
+          report_json_layout ] );
+    ( "experiments.table1",
       [ Alcotest.test_case "shape vs OSF1 and paper" `Slow table1_shape ] );
     ( "experiments.fig7",
       [ Alcotest.test_case "1:2:4 progress ratios" `Slow fig7_ratios;

@@ -560,7 +560,8 @@ let scale_deterministic () =
 let scale_verdict () =
   let r = Experiments.Scale.run ~domains:32 ~duration:(Time.sec 30) () in
   check "zero violations" 0 r.Experiments.Scale.violations;
-  checkb "books balance" true r.Experiments.Scale.books_balanced;
+  checkb "books balance" true
+    r.Experiments.Scale.frames.Experiments.Harness.fb_balanced;
   checkb "every domain measured" true
     (r.Experiments.Scale.measured_domains = 32);
   checkb "verdict" true (Experiments.Scale.ok r)

@@ -70,7 +70,9 @@ let run_fleet ops =
   let sim = System.sim sys in
   let qos () = Usbs.Qos.make ~period:(Time.ms 50) ~slice:(Time.ms 10) () in
   let reg =
-    match Share.Registry.create sys ~guarantee:(tpl_pages + seg_pages + 2) with
+    match
+      Share.Shared_frames.create sys ~guarantee:(tpl_pages + seg_pages + 2)
+    with
     | Ok r -> r
     | Error e -> failwith (System.error_message e)
   in
@@ -191,7 +193,7 @@ let run_fleet ops =
   System.run ~until:(Time.sec 30) sys;
   if Sync.Ivar.peek done_ = None then failwith "fleet driver did not finish";
   let rt = System.ramtab sys in
-  let books = Share.Registry.books reg in
+  let books = Share.Shared_frames.books reg in
   let total_refs = ref 0 in
   for pfn = 0 to Ramtab.nframes rt - 1 do
     total_refs := !total_refs + Ramtab.refs rt ~pfn
@@ -200,7 +202,7 @@ let run_fleet ops =
     List.fold_left
       (fun acc d -> acc + Frames.held d.System.frames_client)
       0 (System.domains sys)
-    + Frames.held (Share.Registry.client reg)
+    + Frames.held (Share.Shared_frames.client reg)
     + Share.Zpool.frames_held zpool
   in
   let owned = ref 0 in
@@ -208,8 +210,8 @@ let run_fleet ops =
     if Ramtab.owner rt ~pfn <> None then incr owned
   done;
   let fr = System.frames sys in
-  Share.Registry.books_balanced reg
-  && !total_refs = books.Share.Registry.b_live_refs
+  Share.Shared_frames.books_balanced reg
+  && !total_refs = books.Share.Shared_frames.b_live_refs
   && Frames.free_frames fr + held_sum = Frames.total_frames fr
   && !owned = held_sum
 
@@ -239,7 +241,8 @@ let test_control_arm_books () =
     Experiments.Tenancy.run ~seed:3 ~tenants:2 ~duration:(Time.sec 5)
       ~share:false ~zram:false ()
   in
-  checkb "books balanced" true r.Experiments.Tenancy.books_balanced;
+  checkb "books balanced" true
+    r.Experiments.Tenancy.frames.Experiments.Harness.fb_balanced;
   checkb "registry balanced" true r.Experiments.Tenancy.reg_balanced;
   check "no refs leaked" 0 r.Experiments.Tenancy.refs_leaked;
   check "no CoW breaks" 0 r.Experiments.Tenancy.cow_breaks;
