@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale smoke chaos crash remote failover erasure scale share perfbench-smoke fmt lint-registry check clean
+.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale smoke chaos crash remote failover erasure scale share perfbench-smoke fmt lint-registry lint-exports check clean
 
 all: build
 
@@ -83,10 +83,11 @@ chaos:
 crash:
 	dune exec bin/nemesis_sim.exe -- crash-recover --rounds 2
 
-# Remote-paging run: a mixed tiered/disk-only fleet with link chaos in
-# the second half; zero bystander violations, balanced tier loss books
-# and a byte-identical same-seed rerun asserted (non-zero exit on
-# breach).
+# Remote-paging run: a mixed tiered/disk-only mix over a one-node
+# remote-memory fleet with link chaos in the second half; zero
+# bystander violations, balanced fleet books (every lost packet
+# retried or given up, and matched by an injected drop) and a
+# byte-identical same-seed rerun asserted (non-zero exit on breach).
 remote:
 	dune exec bin/nemesis_sim.exe -- remote -d 20
 
@@ -141,7 +142,15 @@ perfbench-smoke:
 lint-registry:
 	dune exec bin/nemesis_sim.exe -- lint-registry
 
-check: fmt build test lint-registry smoke chaos crash remote failover erasure scale share perfbench-smoke
+# Export hygiene: every `val` in lib/**/*.mli needs a caller in lib/,
+# bin/, bench/ or perfbench/, or a line with a reason in
+# tools/exports_allowlist.txt. Fails on a new caller-less export and on
+# a listed one that gained a caller, so the allowlist only shrinks.
+# Must run from the repo root.
+lint-exports:
+	python3 tools/lint_exports.py
+
+check: fmt build test lint-registry lint-exports smoke chaos crash remote failover erasure scale share perfbench-smoke
 	@echo "check OK"
 
 clean:

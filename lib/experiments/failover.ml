@@ -91,7 +91,7 @@ let run_once ~seed ~duration =
 
 let to_json r =
   let open Report.Json in
-  let f = r.fleet and st = r.store_totals in
+  let f = r.fleet in
   let node h =
     obj
       [ ("name", str h.Tier.Fleet.nh_name); ("member", bool h.nh_member);
@@ -123,15 +123,7 @@ let to_json r =
               ("repair_rounds", int f.repair_rounds) ] ) ];
       [ ("nodes", list (List.map node r.health)) ];
       [ ("books_balanced", bool r.books_balanced) ];
-      [ ( "stores",
-          obj
-            [ ("cache_hits", int st.st_cache_hits);
-              ("fleet_hits", int st.st_fleet_hits);
-              ("fleet_misses", int st.st_fleet_misses);
-              ("promotes", int st.st_promotes); ("demotes", int st.st_demotes);
-              ("write_fallbacks", int st.st_write_fallbacks);
-              ("clean_skips", int st.st_clean_skips);
-              ("lost_slots", int st.st_lost_slots) ] ) ];
+      [ ("stores", Harness.stores_json r.store_totals) ];
       [ ("lost_slots", int r.lost_slots) ];
       [ ("node_wipes", int r.node_wipes);
         ("node_partitions", int r.node_partitions) ];

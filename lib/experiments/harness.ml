@@ -315,6 +315,18 @@ let store_totals stores =
       st_clean_skips = 0; st_lost_slots = 0 }
     stores
 
+let stores_json st =
+  let open Report.Json in
+  let open Tier.Fleet in
+  obj
+    [ ("cache_hits", int st.st_cache_hits);
+      ("fleet_hits", int st.st_fleet_hits);
+      ("fleet_misses", int st.st_fleet_misses);
+      ("promotes", int st.st_promotes); ("demotes", int st.st_demotes);
+      ("write_fallbacks", int st.st_write_fallbacks);
+      ("clean_skips", int st.st_clean_skips);
+      ("lost_slots", int st.st_lost_slots) ]
+
 type hot_run = {
   h_cell : string;
   h_accesses : int;
@@ -378,7 +390,7 @@ let hot_run ~experiment ~cell ~seed ~duration ~fleet ~wipe =
             secondary_rebuilds = 0; lost_shards = 0; degraded_reads = 0;
             reconstructions = 0; corrupt_shards = 0; migrations = 0;
             node_joins = 0; node_retires = 0; retransmits = 0;
-            quarantines = 0; readmissions = 0; probes = 0;
+            lost_packets = 0; give_ups = 0; quarantines = 0; readmissions = 0; probes = 0;
             probe_failures = 0; wipes_applied = 0; repair_rounds = 0 },
           nan,
           [] )

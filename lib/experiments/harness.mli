@@ -61,7 +61,7 @@ val pattern : experiment:string -> string -> Workload.Paging_app.pattern
 val backing :
   experiment:string -> string -> Tier.Backing.ctx ->
   Usbs.Sfs.swapfile -> Tier.Backing.t
-(** Resolve a backing spec (["tiered:cache-pages=24"], ["zram"], ...)
+(** Resolve a backing spec (["fleet:cache-pages=24"], ["zram"], ...)
     through {!Tier.Backing.axis} into the [swapfile -> Backing.t]
     shape [Paging_app.start ?backing] takes, aborting the experiment
     on an unknown name or a missing capability. *)
@@ -175,6 +175,9 @@ val fleet_backing :
 
 val store_totals : Tier.Fleet.store list -> Tier.Fleet.store_stats
 (** Per-domain store counters summed. *)
+
+val stores_json : Tier.Fleet.store_stats -> Report.Json.t
+(** Summed store counters as the ["stores"] JSON object. *)
 
 (** One hotspot run against one backend, its fault latency split at
     T/2: a cell of the failover and erasure benchmarks. *)

@@ -5,7 +5,8 @@ type result = {
   seed : int;
   duration : Time.span;
   domains : Harness.domain_report list;
-  tier : Tier.Store.stats;
+  fleet : Tier.Fleet.stats;
+  stores : Tier.Fleet.store_stats;
   books_balanced : bool;
   remote_used : int;
   remote_capacity : int;
@@ -18,47 +19,23 @@ type result = {
   audit : Obs.Qos_audit.summary;
 }
 
-let zero_stats =
-  { Tier.Store.cache_hits = 0; remote_hits = 0; remote_misses = 0;
-    promotes = 0; demotes = 0; remote_fulls = 0; drops_seen = 0;
-    delays_seen = 0; retransmits = 0; retx_delays = []; drop_losses = 0;
-    transfer_fails = 0;
-    clean_aborts = 0; disk_fallbacks = 0; link_lost_slots = 0;
-    lost_slots = 0 }
+let experiment = "remote"
 
-let add_stats a b =
-  { Tier.Store.cache_hits = a.Tier.Store.cache_hits + b.Tier.Store.cache_hits;
-    remote_hits = a.Tier.Store.remote_hits + b.Tier.Store.remote_hits;
-    remote_misses = a.Tier.Store.remote_misses + b.Tier.Store.remote_misses;
-    promotes = a.Tier.Store.promotes + b.Tier.Store.promotes;
-    demotes = a.Tier.Store.demotes + b.Tier.Store.demotes;
-    remote_fulls = a.Tier.Store.remote_fulls + b.Tier.Store.remote_fulls;
-    drops_seen = a.Tier.Store.drops_seen + b.Tier.Store.drops_seen;
-    delays_seen = a.Tier.Store.delays_seen + b.Tier.Store.delays_seen;
-    retransmits = a.Tier.Store.retransmits + b.Tier.Store.retransmits;
-    retx_delays = a.Tier.Store.retx_delays @ b.Tier.Store.retx_delays;
-    drop_losses = a.Tier.Store.drop_losses + b.Tier.Store.drop_losses;
-    transfer_fails = a.Tier.Store.transfer_fails + b.Tier.Store.transfer_fails;
-    clean_aborts = a.Tier.Store.clean_aborts + b.Tier.Store.clean_aborts;
-    disk_fallbacks = a.Tier.Store.disk_fallbacks + b.Tier.Store.disk_fallbacks;
-    link_lost_slots =
-      a.Tier.Store.link_lost_slots + b.Tier.Store.link_lost_slots;
-    lost_slots = a.Tier.Store.lost_slots + b.Tier.Store.lost_slots }
-
-(* Each tiered domain's own client on the tier's one link, under the
-   tiered domains' (5 ms / 20 ms, extra, 2 ms lax) guarantee, and its
-   store over the shared remote node. *)
-let tiered_backing ~link ~remote ~on_store name =
-  let client =
-    Usnet.Link.admit link ~name:(name ^ ".tier") ~period:(Time.ms 20)
-      ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
-    |> Harness.expect ~experiment:"remote" ~context:[ ("app", name) ] (fun e ->
-           "remote: " ^ Usnet.Link.admit_error_message e)
+(* Remote paging is the fleet at size one: a single [Replicated 1]
+   node behind one link, which every tiered domain pages through on
+   its own admitted client ({!Harness.fleet_backing}). *)
+let one_node_fleet ~seed ~link_name ~capacity sys =
+  let link =
+    Usnet.Link.create ~name:link_name ~params:Usnet.Net_params.fast_ethernet
+      (System.sim sys)
   in
-  Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
-    [ Tier.Store.Tiered
-        { tc_link = link; tc_client = client; tc_remote = remote;
-          tc_on_store = on_store } ]
+  let remote = Tier.Remote_node.create ~capacity_pages:capacity () in
+  let fleet =
+    Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 1)
+      ~nodes:[ (link_name, remote, link) ]
+      (System.sim sys)
+  in
+  (fleet, remote, link)
 
 (* The link chaos plan: second-half packet loss and delay on the
    tier's link, nothing else — the disk stays clean so any bystander
@@ -76,15 +53,15 @@ let remote_capacity = 160
 
 let run_once ~seed ~duration =
   let sys = Harness.tier_system ~seed in
-  let link =
-    Usnet.Link.create ~name:"tier0" ~params:Usnet.Net_params.fast_ethernet
-      (System.sim sys)
+  let fleet, remote, link =
+    one_node_fleet ~seed ~link_name:"tier0" ~capacity:remote_capacity sys
   in
-  let remote = Tier.Remote_node.create ~capacity_pages:remote_capacity () in
   let stores = ref [] in
   let apps =
-    Harness.start_mix ~experiment:"remote" sys ~tier_prefix:"tier_"
-      (tiered_backing ~link ~remote ~on_store:(fun s -> stores := s :: !stores))
+    Harness.start_mix ~experiment sys ~tier_prefix:"tier_" (fun name ->
+        Harness.fleet_backing ~experiment ~context:[ ("app", name) ] fleet
+          ~on_store:(fun s -> stores := s :: !stores)
+          name)
   in
   (* Clean first half, then chaos on the link, then a quiet drain so
      in-flight retransmissions settle before the books are read. *)
@@ -96,11 +73,9 @@ let run_once ~seed ~duration =
   { seed;
     duration;
     domains;
-    tier =
-      List.fold_left
-        (fun acc s -> add_stats acc (Tier.Store.stats s))
-        zero_stats !stores;
-    books_balanced = List.for_all Tier.Store.books_balanced !stores;
+    fleet = Tier.Fleet.stats fleet;
+    stores = Harness.store_totals !stores;
+    books_balanced = Tier.Fleet.books_balanced fleet;
     remote_used = Tier.Remote_node.used_pages remote;
     remote_capacity;
     link_drops = tally.Inject.link_drops;
@@ -113,30 +88,25 @@ let run_once ~seed ~duration =
 
 let to_json r =
   let open Report.Json in
-  let t = r.tier in
+  let f = r.fleet in
   record
     [ [ ("seed", int r.seed) ];
       [ ("duration_s", secs r.duration) ];
       [ ("domains", Harness.domains_json r.domains) ];
-      [ ( "tier",
+      [ ( "fleet",
           obj
-            [ ("cache_hits", int t.cache_hits);
-              ("remote_hits", int t.remote_hits);
-              ("remote_misses", int t.remote_misses);
-              ("promotes", int t.promotes); ("demotes", int t.demotes);
-              ("remote_fulls", int t.remote_fulls);
-              ("drops_seen", int t.drops_seen);
-              ("delays_seen", int t.delays_seen);
-              ("retransmits", int t.retransmits);
-              ( "retx_backoff_ms",
-                jf3 (Time.to_ms (List.fold_left ( + ) 0 t.retx_delays))
-              );
-              ("drop_losses", int t.drop_losses);
-              ("transfer_fails", int t.transfer_fails);
-              ("clean_aborts", int t.clean_aborts);
-              ("disk_fallbacks", int t.disk_fallbacks);
-              ("link_lost_slots", int t.link_lost_slots);
-              ("lost_slots", int t.lost_slots) ] ) ];
+            [ ("stores", int f.stores); ("acks", int f.acks);
+              ("remote_fulls", int f.remote_fulls);
+              ("replica_timeouts", int f.replica_timeouts);
+              ("lost_primaries", int f.lost_primaries);
+              ("disk_fallbacks", int f.disk_fallbacks);
+              ("lost_packets", int f.lost_packets);
+              ("retransmits", int f.retransmits);
+              ("give_ups", int f.give_ups);
+              ("quarantines", int f.quarantines);
+              ("readmissions", int f.readmissions);
+              ("repair_rounds", int f.repair_rounds) ] ) ];
+      [ ("stores", Harness.stores_json r.stores) ];
       [ ("books_balanced", bool r.books_balanced) ];
       [ ( "remote",
           obj
@@ -158,10 +128,13 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
   let r, same = Harness.rerun (fun () -> run_once ~seed ~duration) ~to_json in
   { r with deterministic = same }
 
+(* The packet ledger must also match the fault plan: with no node
+   faults, every packet the fleet lost is a drop Inject dealt. *)
 let ok r =
   r.bystander_violations = 0 && r.books_balanced && r.link_drops > 0
-  && r.tier.Tier.Store.remote_hits > 0
-  && r.tier.Tier.Store.demotes > 0
+  && r.fleet.Tier.Fleet.lost_packets = r.link_drops
+  && r.stores.Tier.Fleet.st_fleet_hits > 0
+  && r.stores.Tier.Fleet.st_demotes > 0
   && r.deterministic
 
 let print r =
@@ -171,20 +144,19 @@ let print r =
     (Time.to_sec r.duration);
   Harness.domain_table ~tier:"tier" r.domains;
   print_newline ();
-  let t = r.tier in
+  let f = r.fleet and st = r.stores in
   Printf.printf
     "tier: %d cache hits, %d remote hits, %d remote misses, %d demotes, %d \
      promotes, %d remote-full degrades\n"
-    t.Tier.Store.cache_hits t.Tier.Store.remote_hits
-    t.Tier.Store.remote_misses t.Tier.Store.demotes t.Tier.Store.promotes
-    t.Tier.Store.remote_fulls;
+    st.Tier.Fleet.st_cache_hits st.Tier.Fleet.st_fleet_hits
+    st.Tier.Fleet.st_fleet_misses st.Tier.Fleet.st_demotes
+    st.Tier.Fleet.st_promotes f.Tier.Fleet.remote_fulls;
   Printf.printf
-    "link: %d drops = %d retransmits + %d losses; %d failed transfers = %d \
-     clean + %d disk fallbacks + %d lost slots (%s)\n"
-    t.Tier.Store.drops_seen t.Tier.Store.retransmits
-    t.Tier.Store.drop_losses t.Tier.Store.transfer_fails
-    t.Tier.Store.clean_aborts t.Tier.Store.disk_fallbacks
-    t.Tier.Store.link_lost_slots
+    "link: %d lost packets = %d retransmits + %d give-ups, %d injected \
+     drops; %d disk fallbacks, %d write fallbacks, %d lost slots (%s)\n"
+    f.Tier.Fleet.lost_packets f.Tier.Fleet.retransmits f.Tier.Fleet.give_ups
+    r.link_drops f.Tier.Fleet.disk_fallbacks st.Tier.Fleet.st_write_fallbacks
+    st.Tier.Fleet.st_lost_slots
     (if r.books_balanced then "books balance" else "UNBALANCED BOOKS");
   Printf.printf "remote node: %d/%d pages; link utilisation %.2f\n"
     r.remote_used r.remote_capacity r.link_utilisation;
@@ -199,7 +171,10 @@ let print r =
 (* ------------------------------------------------------------------ *)
 (* Benchmark: tiered vs disk-only, per pattern, fault-free.            *)
 
-type bench_cell = { bc_app : Harness.domain_report; bc_tier : Tier.Store.stats }
+type bench_cell = {
+  bc_app : Harness.domain_report;
+  bc_tier : Tier.Fleet.store_stats;
+}
 
 type bench_result = {
   b_seed : int;
@@ -211,31 +186,27 @@ type bench_result = {
 
 let bench_cell ~seed ~duration ~pat ~tiered =
   let sys = Harness.tier_system ~seed in
-  let store = ref None in
+  let stores = ref [] in
+  let name = "bench" in
   let backing =
     if not tiered then None
-    else begin
-      let link =
-        Usnet.Link.create ~name:"bench0"
-          ~params:Usnet.Net_params.fast_ethernet (System.sim sys)
+    else
+      let fleet, _, _ =
+        one_node_fleet ~seed ~link_name:"bench0" ~capacity:128 sys
       in
-      let remote = Tier.Remote_node.create ~capacity_pages:128 () in
       Some
-        (tiered_backing ~link ~remote
-           ~on_store:(fun s -> store := Some s)
-           "bench")
-    end
+        (Harness.fleet_backing ~experiment ~context:[ ("app", name) ] fleet
+           ~on_store:(fun s -> stores := s :: !stores)
+           name)
   in
-  let name = "bench" in
   let app =
-    Harness.start_app ~experiment:"remote" sys ~slice:(Time.ms 35) ~name
-      ~pattern:(Harness.pattern ~experiment:"remote" pat)
+    Harness.start_app ~experiment sys ~slice:(Time.ms 35) ~name
+      ~pattern:(Harness.pattern ~experiment pat)
       ?backing ()
   in
   System.run ~until:duration sys;
   { bc_app = Harness.domain_report ~pattern:pat ~tiered name app;
-    bc_tier =
-      (match !store with Some s -> Tier.Store.stats s | None -> zero_stats) }
+    bc_tier = Harness.store_totals !stores }
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let cells =
@@ -271,8 +242,8 @@ let bench_print r =
          [ d.dr_pattern; (if d.dr_tiered then "tier" else "disk");
            Report.mbit_s d.dr_mbit; string_of_int d.dr_accesses;
            Report.us d.dr_fault_mean_us; Report.us d.dr_fault_p95_us;
-           Printf.sprintf "%d/%d/%d" t.cache_hits t.remote_hits
-             t.remote_misses ])
+           Printf.sprintf "%d/%d/%d" t.st_cache_hits t.st_fleet_hits
+             t.st_fleet_misses ])
        r.b_cells);
   print_newline ();
   Printf.printf "hotspot fault-latency speedup (disk/tier): %s — tiered %s\n"
@@ -289,8 +260,9 @@ let bench_to_json r =
         ("mbit_s", jf3 d.dr_mbit); ("accesses", int d.dr_accesses);
         ("fault_mean_us", jf d.dr_fault_mean_us);
         ("fault_p95_us", jf d.dr_fault_p95_us);
-        ("cache_hits", int t.cache_hits); ("remote_hits", int t.remote_hits);
-        ("remote_misses", int t.remote_misses) ]
+        ("cache_hits", int t.st_cache_hits);
+        ("remote_hits", int t.st_fleet_hits);
+        ("remote_misses", int t.st_fleet_misses) ]
   in
   record
     [ [ ("seed", int r.b_seed) ];

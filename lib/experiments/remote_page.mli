@@ -3,16 +3,18 @@
     A mixed fleet pages over the same disk: three disk-only domains
     and three tiered domains (local RAM cache → remote memory node →
     disk), one of each per access pattern (sequential, random,
-    hotspot). The tiered domains' page transfers ride a shared
-    {!Usnet.Link} under per-domain [(p, s, x, l)] guarantees; halfway
+    hotspot). The remote node is a one-node [Replicated 1]
+    {!Tier.Fleet}; the tiered domains' page transfers ride its shared
+    {!Usnet.Link} under per-domain [(p, s, x, l)] guarantees. Halfway
     through, a seeded fault plan starts dropping and delaying packets
     on that link.
 
     The experiment passes when the chaos stays bought-and-paid-for:
-    the disk-only bystanders see zero QoS violations, every tier
-    store's double-entry loss books balance, drops were actually
-    injected, the tiered domains survive on the disk fallback, and a
-    second same-seed run reproduces the report byte-for-byte. *)
+    the disk-only bystanders see zero QoS violations, the fleet's
+    double-entry books balance (its packet ledger included), every
+    packet the fleet lost is a drop the fault plan dealt, the tiered
+    domains survive on the disk fallback, and a second same-seed run
+    reproduces the report byte-for-byte. *)
 
 open Engine
 
@@ -20,7 +22,8 @@ type result = {
   seed : int;
   duration : Time.span;
   domains : Harness.domain_report list;
-  tier : Tier.Store.stats;  (** summed over the three tiered stores *)
+  fleet : Tier.Fleet.stats;  (** the one-node fleet's books *)
+  stores : Tier.Fleet.store_stats;  (** summed over the three tiered stores *)
   books_balanced : bool;
   remote_used : int;
   remote_capacity : int;

@@ -201,14 +201,14 @@ type zram_cap = {
 type Tier.Backing.cap += Zram of zram_cap
 
 let () =
-  Tier.Reg.register_exn Tier.Backing.axis
-    (Tier.Reg.manifest ~name:"zram"
+  Registry.register_exn Tier.Backing.axis
+    (Registry.manifest ~name:"zram"
        ~doc:
          "compressed-RAM tier over the swapfile's own data path \
           (Share.Sd_zram over a shared Zpool)"
        ())
     (fun a ->
-      if a.Tier.Reg.Spec.args <> [] || a.Tier.Reg.Spec.params <> [] then
+      if a.Registry.Spec.args <> [] || a.Registry.Spec.params <> [] then
         Error "zram takes no parameter (pool and label come from the ctx)"
       else
         Ok

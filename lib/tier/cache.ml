@@ -288,30 +288,3 @@ let backing t =
     extent =
       (fun () ->
         (Usbs.Sfs.extent_start t.swap, Usbs.Sfs.extent_blocks t.swap)) }
-
-(* --- backing-axis registration --------------------------------------- *)
-
-let register ~name ~doc ~label ~cap find build =
-  Registry.register_exn Backing.axis
-    (Registry.manifest ~name ~doc
-       ~params:
-         [ { Registry.p_name = "cache-pages";
-             p_doc = "local RAM cache size, pages";
-             p_kind = Registry.Int 32 };
-           { Registry.p_name = "label";
-             p_doc = "store label for metrics and driver names";
-             p_kind = Registry.String (Some label) } ]
-       ~default:(name ^ ":cache-pages=32") ())
-    (fun a ->
-      match Registry.Spec.int_param a "cache-pages" ~default:32 with
-      | Error e -> Error e
-      | Ok cache_pages ->
-          let label = Registry.Spec.string_param a "label" ~default:label in
-          Ok
-            (fun ctx swap ->
-              match List.find_map find ctx with
-              | None ->
-                  Error
-                    (Printf.sprintf "%s backing needs a Tier.%s capability"
-                       name cap)
-              | Some c -> Ok (build c ~cache_pages ~label swap)))

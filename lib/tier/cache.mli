@@ -1,9 +1,8 @@
 (** The tier front end: a local RAM cache over a lower layer over the
     disk durability floor.
 
-    Every tiered backing ({!Store}: one remote node over one link;
-    {!Fleet}: a replicated or erasure-coded node set) pages through
-    this one front end. It owns:
+    The tiered backing ({!Fleet}: one or more remote nodes, replicated
+    or erasure-coded) pages through this front end. It owns:
     - the local RAM tier, an LRU over slot indices: evictions demote
       cold slots to the lower layer, reads promote them back;
     - run-coalesced disk-floor reads: consecutive slots the lower layer
@@ -82,17 +81,3 @@ val counters : t -> counters
 
 val backing : t -> Backing.t
 (** The front end as a {!Backing.t}; its [label] is the store's label. *)
-
-val register :
-  name:string ->
-  doc:string ->
-  label:string ->
-  cap:string ->
-  (Backing.cap -> 'c option) ->
-  ('c -> cache_pages:int -> label:string -> Usbs.Sfs.swapfile -> Backing.t) ->
-  unit
-(** Register a tiered backing on {!Backing.axis} under [name], with the
-    shared parameters [cache-pages] (default 32) and [label] (default
-    [label]). The factory finds its live capability in the ctx with the
-    given selector — [cap] names it in the error when it is missing —
-    and builds the store from it. *)

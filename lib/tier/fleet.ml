@@ -1,6 +1,6 @@
 open Engine
 
-let page_bytes = 8192 (* mirrors Store; one page on the wire *)
+let page_bytes = 8192 (* the USBS page size; Sfs keeps it internal *)
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -60,6 +60,8 @@ type t = {
   mutable s_node_joins : int;
   mutable s_node_retires : int;
   mutable s_retransmits : int;
+  mutable s_lost_packets : int;
+  mutable s_give_ups : int;
   mutable s_quarantines : int;
   mutable s_readmissions : int;
   mutable s_probes : int;
@@ -87,6 +89,8 @@ type stats = {
   node_joins : int;
   node_retires : int;
   retransmits : int;
+  lost_packets : int;
+  give_ups : int;
   quarantines : int;
   readmissions : int;
   probes : int;
@@ -307,12 +311,20 @@ let fragments nd len =
   let n = (len + mtu - 1) / mtu in
   List.init n (fun i -> if i = n - 1 then len - ((n - 1) * mtu) else mtu)
 
+(* The retransmit ladder: the [attempt]-th retry (0-based) backs off
+   [base * 2^attempt], bounded at [8 * base] so a long retry budget
+   degenerates to a steady (still deterministic) pulse rather than an
+   unbounded stall — 1/2/4/8 ms at the default 1 ms base, the Sfs
+   retry ladder at network scale. *)
+let backoff ~base ~attempt = base * (1 lsl min attempt 3)
+
 (* One packet towards [nd] on [client]. The transmit burns the
    client's slice whether or not the far end is reachable — the
    sender cannot know — then the packet is lost if the node is
    crashed/partitioned ({!Inject.node_reachable}) or the link's own
-   fault plan drops it. Lost packets retransmit on the
-   {!Store.backoff} ladder, [retries] times, then time out. *)
+   fault plan drops it. A lost packet waits out the ack deadline,
+   then retransmits on the {!backoff} ladder, [retries] times, then
+   gives up: the packet ledger books it as exactly one of the two. *)
 let send_frag t nd client ~retries bytes =
   let rec attempt left n =
     match Usnet.Link.transmit nd.nd_link client ~bytes with
@@ -332,13 +344,17 @@ let send_frag t nd client ~retries bytes =
         else begin
           (* waited the ack deadline in vain *)
           Proc.sleep t.retx_timeout;
+          t.s_lost_packets <- t.s_lost_packets + 1;
           if left > 0 then begin
             t.s_retransmits <- t.s_retransmits + 1;
             metric "retransmit";
-            Proc.sleep (Store.backoff ~base:t.retx_timeout ~attempt:n);
+            Proc.sleep (backoff ~base:t.retx_timeout ~attempt:n);
             attempt (left - 1) (n + 1)
           end
-          else Error `Timeout
+          else begin
+            t.s_give_ups <- t.s_give_ups + 1;
+            Error `Timeout
+          end
         end
   in
   attempt retries 0
@@ -545,16 +561,18 @@ let repair_round t =
   (* Demand-driven order: hottest pages first — the per-page fault
      counts {!Obs.Heat} accumulates — with the (owner, slot) key as a
      deterministic tie-break (and the whole order when observability
-     is off, matching the old book-scan behaviour). *)
-  let heat (owner, slot) = Obs.Heat.count ~owner ~slot in
+     is off, matching the old book-scan behaviour). Each page's heat
+     is read once, before the sort. *)
   let book =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pages []
-    |> List.sort (fun (ka, _) (kb, _) ->
-           let ha = heat ka and hb = heat kb in
+    Hashtbl.fold
+      (fun ((owner, slot) as k) v acc ->
+        (Obs.Heat.count ~owner ~slot, k, v) :: acc)
+      t.pages []
+    |> List.sort (fun (ha, ka, _) (hb, kb, _) ->
            if ha <> hb then compare hb ha else compare ka kb)
   in
   List.iter
-    (fun ((owner, slot), reps) ->
+    (fun (_, (owner, slot), reps) ->
       if !budget > 0 then begin
         let want = placement t ~owner ~slot in
         for p = 0 to t.width - 1 do
@@ -697,6 +715,8 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       s_node_joins = 0;
       s_node_retires = 0;
       s_retransmits = 0;
+      s_lost_packets = 0;
+      s_give_ups = 0;
       s_quarantines = 0;
       s_readmissions = 0;
       s_probes = 0;
@@ -774,7 +794,7 @@ let demote v s ~dirty =
     let nd = t.nodes.(i) in
     if nd.nd_quarantined then t.s_replica_skips <- t.s_replica_skips + 1
     else if not (Remote_node.has_room nd.nd_remote) then begin
-      (* known-full before any byte moves, as in Store *)
+      (* known-full before any byte moves *)
       t.s_remote_fulls <- t.s_remote_fulls + 1;
       metric "remote_full"
     end
@@ -978,6 +998,8 @@ let stats t =
     node_joins = t.s_node_joins;
     node_retires = t.s_node_retires;
     retransmits = t.s_retransmits;
+    lost_packets = t.s_lost_packets;
+    give_ups = t.s_give_ups;
     quarantines = t.s_quarantines;
     readmissions = t.s_readmissions;
     probes = t.s_probes;
@@ -1035,6 +1057,7 @@ let storage_overhead t =
 
 let books_balanced t =
   t.s_stores = t.s_acks
+  && t.s_lost_packets = t.s_retransmits + t.s_give_ups
   &&
   match t.ec with
   | None ->
@@ -1054,15 +1077,36 @@ type fleet_cap = {
 type Backing.cap += Fleet_tier of fleet_cap
 
 let () =
-  Cache.register ~name:"fleet"
-    ~doc:
-      "replicated / erasure-coded remote-memory fleet over the disk \
-       (Tier.Fleet)"
-    ~label:"fleet" ~cap:"Fleet.Fleet_tier"
-    (function Fleet_tier c -> Some c | _ -> None)
-    (fun c ~cache_pages ~label swap ->
-      let s =
-        attach ~cache_pages ~label c.fc_fleet ~clients:c.fc_clients ~swap ()
-      in
-      c.fc_on_store s;
-      backing s)
+  Registry.register_exn Backing.axis
+    (Registry.manifest ~name:"fleet"
+       ~doc:
+         "replicated / erasure-coded remote-memory fleet over the disk \
+          (Tier.Fleet); a one-node Replicated 1 fleet is plain remote \
+          paging"
+       ~params:
+         [ { Registry.p_name = "cache-pages";
+             p_doc = "local RAM cache size, pages";
+             p_kind = Registry.Int 32 };
+           { Registry.p_name = "label";
+             p_doc = "store label for metrics and driver names";
+             p_kind = Registry.String (Some "fleet") } ]
+       ~default:"fleet:cache-pages=32" ())
+    (fun a ->
+      match Registry.Spec.int_param a "cache-pages" ~default:32 with
+      | Error e -> Error e
+      | Ok cache_pages ->
+          let label = Registry.Spec.string_param a "label" ~default:"fleet" in
+          Ok
+            (fun ctx swap ->
+              match
+                List.find_map (function Fleet_tier c -> Some c | _ -> None) ctx
+              with
+              | None ->
+                  Error "fleet backing needs a Tier.Fleet.Fleet_tier capability"
+              | Some c ->
+                  let s =
+                    attach ~cache_pages ~label c.fc_fleet
+                      ~clients:c.fc_clients ~swap ()
+                  in
+                  c.fc_on_store s;
+                  Ok (backing s)))

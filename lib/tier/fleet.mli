@@ -1,9 +1,10 @@
 (** A redundant remote memory tier: N nodes, replicated or
     erasure-coded stripes, no single point of failure.
 
-    PR 6's {!Store} pages to {e one} {!Remote_node}; one
-    [Remote_node.wipe] and every tiered domain eats the ~130× disk
-    penalty. A fleet spreads the same traffic over several nodes
+    This is the one remote data path under the {!Cache} front end. A
+    one-node [Replicated 1] fleet is plain remote paging (the [remote]
+    experiment): one [Remote_node.wipe] and every tiered domain eats
+    the ~130× disk penalty. Several nodes spread the same traffic
     under a per-fleet {!redundancy} policy:
 
     - [Replicated r]: each demoted page is written whole to [r]
@@ -27,9 +28,11 @@
 
     {b Health.} Every node is reached over its own {!Usnet.Link};
     packets to a crashed or partitioned node (per
-    {!Inject.node_reachable}) are never acked, so the sender
-    retransmits on the deterministic {!Store.backoff} ladder and
-    eventually times out. [quarantine_after] consecutive timeouts
+    {!Inject.node_reachable}) or dropped by the link's fault plan are
+    never acked, so the sender waits out the ack deadline
+    ([retx_timeout]), retransmits on a deterministic backoff ladder
+    ([retx_timeout * 2^n], capped at 8×: 1/2/4/8 ms) and eventually
+    gives up. [quarantine_after] consecutive timeouts
     quarantine the node: it stops being asked for pages, and a
     background process probes it each [probe_period], re-admitting it
     when a probe is answered (a healed partition) — a crashed node
@@ -62,6 +65,9 @@
     {b Books.} Double-entry, mode-aware:
     - both modes: [stores = acks] — every entry the placement book
       records was individually acknowledged by its node;
+    - both modes: [lost_packets = retransmits + give_ups] — every
+      packet never acked (dropped or unreachable) was either retried
+      or abandoned its transfer;
     - replicated:
       [lost_primaries = failovers + rebuilds + disk_fallbacks];
     - erasure:
@@ -71,9 +77,10 @@
       it, or the read fell back to the disk (fallback reads book one
       answer per shard they observed lost).
 
-    Charging is unchanged from {!Store}: every fragment a domain
-    sends or receives burns that domain's own link-client slice, so a
-    thrashing tiered domain still cannot starve its neighbours. *)
+    {b Charging.} Every fragment a domain sends or receives burns
+    that domain's own link-client slice, admitted under a (p,s,x,l)
+    guarantee, so a thrashing tiered domain cannot steal network from
+    its neighbours any more than it can steal disk. *)
 
 open Engine
 
@@ -124,6 +131,10 @@ type stats = {
   node_joins : int;  (** standby nodes admitted into membership *)
   node_retires : int;  (** members retired out of the ring *)
   retransmits : int;  (** fragments retried on the backoff ladder *)
+  lost_packets : int;
+      (** packets never acked: dropped by the link or sent to an
+          unreachable node *)
+  give_ups : int;  (** lost packets with no retry left *)
   quarantines : int;  (** nodes quarantined (streak of timeouts) *)
   readmissions : int;  (** quarantined nodes probed back in *)
   probes : int;
@@ -183,8 +194,8 @@ val create :
     Defaults: [redundancy = Replicated 2], [quarantine_after = 3]
     consecutive timeouts, [probe_period = 50ms], [repair_period =
     25ms], [repair_budget = 8] entries rebuilt per round,
-    [link_retries = 3], [retx_timeout = 1ms] (the {!Store.backoff}
-    base), [repair_qos = (20ms, 2ms)] — the (p, s) guarantee admitted
+    [link_retries = 3], [retx_timeout = 1ms] (the ack deadline and
+    the backoff ladder's base), [repair_qos = (20ms, 2ms)] — the (p, s) guarantee admitted
     on every node link for the fleet's own probe/repair traffic —
     and [repair = true] (spawn the background repair process; tests
     that want to drive rounds by hand pass [false] and call
@@ -223,8 +234,8 @@ val attach :
   store
 (** Attach one domain: [clients] must be one admitted client per node
     in node order (see {!admit_clients}); pages are keyed at the
-    nodes by the swapfile's name. Defaults mirror {!Store.create}:
-    [mode = Write_through], [cache_pages = 32], [label = "fleet"]. *)
+    nodes by the swapfile's name. Defaults: [mode = Write_through],
+    [cache_pages = 32], [label = "fleet"]. *)
 
 val backing : store -> Backing.t
 (** The store as a {!Backing.t} — what [Sd_paged.create ?backing] and
@@ -282,7 +293,8 @@ val storage_overhead : t -> float
     tracked. *)
 
 val books_balanced : t -> bool
-(** [stores = acks], and the mode's loss ledger:
+(** [stores = acks], [lost_packets = retransmits + give_ups], and
+    the mode's loss ledger:
     [lost_primaries = failovers + rebuilds + disk_fallbacks]
     (replicated) or
     [lost_shards = reconstructions + rebuilds + disk_fallbacks]

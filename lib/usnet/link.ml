@@ -19,9 +19,6 @@ let admit_error_message = function
     Printf.sprintf "admission refused: utilisation %.3f > 1"
       (requested +. (1. -. available))
 
-let pp_admit_error ppf e =
-  Format.pp_print_string ppf (admit_error_message e)
-
 type packet = { bytes : int; completion : unit Sync.Ivar.t }
 
 type client = {

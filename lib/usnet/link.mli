@@ -49,8 +49,6 @@ val admit_error_message : admit_error -> string
 (** Reproduces the legacy untyped strings, e.g.
     ["admission refused: utilisation 1.100 > 1"]. *)
 
-val pp_admit_error : Format.formatter -> admit_error -> unit
-
 val create :
   ?name:string -> ?params:Net_params.t -> ?rollover:bool -> Sim.t -> t
 (** [name] (default ["link"]) labels the link's Obs metrics and is the

@@ -64,4 +64,3 @@ let recv f =
 
 let received f = f.received
 let dropped f = f.dropped
-let flow_name f = f.fname

@@ -38,5 +38,3 @@ val received : flow -> int
 
 val dropped : flow -> int
 (** Frames dropped because this flow's ring was full. *)
-
-val flow_name : flow -> string

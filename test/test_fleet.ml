@@ -1,7 +1,7 @@
 (* Tests for the replicated remote tier: rendezvous placement, the
    fleet's double-entry books under wipe/partition/repair
    interleavings, read failover, background re-replication, the
-   bounded retransmit ladder shared with the disk path, and the typed
+   bounded retransmit ladder and its packet ledger, and the typed
    not-bound errors on the sharing drivers. *)
 
 open Engine
@@ -27,7 +27,8 @@ let open_swap_exn fs ~name ~bytes =
    store over a 32-page swapfile. Tests drive repair themselves
    ([repair = false] keeps the background process out of the way). *)
 let mk_fleet ?(seed = 7) ?(replicas = 2) ?(nodes = 4) ?(node_pages = 16)
-    ?(cache_pages = 2) ?(repair = false) () =
+    ?(cache_pages = 2) ?(repair = false) ?link_retries ?extra
+    ?(laxity = Time.of_ms_float 2.0) () =
   let sim, _, fs = mk_sfs () in
   let swap = open_swap_exn fs ~name:"f" ~bytes:(256 * 1024) in
   let triples =
@@ -38,12 +39,12 @@ let mk_fleet ?(seed = 7) ?(replicas = 2) ?(nodes = 4) ?(node_pages = 16)
   in
   let fleet =
     Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated replicas)
-      ~repair ~nodes:triples sim
+      ~repair ?link_retries ~nodes:triples sim
   in
   let clients =
     match
       Tier.Fleet.admit_clients fleet ~name:"t.fleet" ~period:(Time.ms 20)
-        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
+        ~slice:(Time.ms 10) ?extra ~laxity ()
     with
     | Ok cs -> cs
     | Error e -> failwith (Usnet.Link.admit_error_message e)
@@ -263,53 +264,79 @@ let fleet_books_model =
           && Tier.Fleet.books_balanced fleet
           && (Tier.Fleet.store_stats store).Tier.Fleet.st_lost_slots = 0))
 
-(* --- The bounded retransmit ladder (shared with Sfs) --- *)
+(* --- The bounded retransmit ladder --- *)
 
-let backoff_ladder () =
-  let base = Time.ms 1 in
-  check "attempt 0" (Time.ms 1) (Tier.Store.backoff ~base ~attempt:0);
-  check "attempt 1" (Time.ms 2) (Tier.Store.backoff ~base ~attempt:1);
-  check "attempt 2" (Time.ms 4) (Tier.Store.backoff ~base ~attempt:2);
-  check "attempt 3" (Time.ms 8) (Tier.Store.backoff ~base ~attempt:3);
-  check "attempt 9 stays capped" (Time.ms 8)
-    (Tier.Store.backoff ~base ~attempt:9)
-
-(* A black-hole link: every retransmit of the first fragment walks the
-   deterministic 1/2/4/8 ms ladder, and the chosen delays surface in
-   the transfer stats in chronological order. *)
-let retx_delays_surfaced () =
-  let sim, _, fs = mk_sfs () in
-  let swap = open_swap_exn fs ~name:"lad" ~bytes:(256 * 1024) in
-  let link = Usnet.Link.create ~name:"ladlink" sim in
-  let client =
-    match
-      Usnet.Link.admit link ~name:"lad.tier" ~period:(Time.ms 20)
-        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
-    with
-    | Ok c -> c
-    | Error e -> failwith (Usnet.Link.admit_error_message e)
+(* A one-node fleet behind a black-hole link, retrying [retries]
+   times: writing slot 1 through a one-page cache demotes slot 0 into
+   the hole. The client may use slack time and holds no laxity, so
+   each retransmit leaves the moment its backoff ends instead of
+   waiting for a fresh period.
+   Returns the fleet, the link and the instant the demote gave up
+   (the write returns right then: slot 0 is clean on disk). *)
+let black_hole ~retries =
+  let sim, fleet, store, _, triples =
+    mk_fleet ~replicas:1 ~nodes:1 ~cache_pages:1 ~link_retries:retries
+      ~extra:true ~laxity:0 ()
   in
-  let remote = Tier.Remote_node.create ~capacity_pages:16 () in
-  let store = Tier.Store.create ~cache_pages:1 ~link ~client ~remote ~swap () in
-  let b = Tier.Store.backing store in
+  let b = Tier.Fleet.backing store in
+  let gave_up = ref Time.zero in
   Inject.arm
     { Inject.default_plan with
       seed = 1;
       links =
-        [ ( "ladlink",
-            { Inject.lf_drop = 1.0; lf_delay = 0.0; lf_delay_span = 0 } ) ] };
+        [ ("fn0", { Inject.lf_drop = 1.0; lf_delay = 0.0; lf_delay_span = 0 })
+        ] };
   Fun.protect ~finally:Inject.disarm (fun () ->
       ignore
         (Proc.spawn sim (fun () ->
              write_exn b 0;
-             write_exn b 1 (* evicts slot 0: demote into the black hole *)));
-      Sim.run ~until:(Time.sec 10) sim;
-      let s = Tier.Store.stats store in
-      Alcotest.(check (list int))
-        "ladder delays surfaced in order"
-        [ Time.ms 1; Time.ms 2; Time.ms 4 ]
-        s.Tier.Store.retx_delays;
-      check "three retransmits" 3 s.Tier.Store.retransmits)
+             write_exn b 1;
+             gave_up := Sim.now sim));
+      Sim.run ~until:(Time.sec 10) sim);
+  let _, _, link = List.hd triples in
+  (fleet, link, !gave_up)
+
+(* Wire time of the first (MTU-sized) fragment of a page. *)
+let frag_tx link =
+  let p = Usnet.Link.params link in
+  Usnet.Net_params.tx_time p ~bytes:p.Usnet.Net_params.mtu
+
+(* Completion instants of every packet the link carried. *)
+let tx_times link =
+  List.map fst
+    (Usnet.Link.trace link
+    |> Trace.filter (function Usnet.Link.Tx _ -> true | _ -> false))
+
+(* Every lost packet waits the 1 ms ack deadline, then backs off
+   1/2/4/8 ms, capped at 8: the gaps between successive transmissions
+   of the dropped fragment walk that ladder. *)
+let backoff_ladder () =
+  let _, link, _ = black_hole ~retries:6 in
+  let tx = frag_tx link in
+  let rec gaps = function
+    | a :: (b :: _ as rest) -> (Time.diff b a - tx) :: gaps rest
+    | _ -> []
+  in
+  Alcotest.(check (list int))
+    "ack wait + capped ladder between retransmits"
+    (List.map (fun b -> Time.ms 1 + Time.ms b) [ 1; 2; 4; 8; 8; 8 ])
+    (gaps (tx_times link))
+
+(* Five drops of one fragment (four retries) cost exactly five wire
+   times, five ack waits and the 1/2/4/8 ms ladder, and the packet
+   ledger books them: four retransmits, one give-up. *)
+let retx_elapsed_time () =
+  let fleet, link, gave_up = black_hole ~retries:4 in
+  let tx = frag_tx link in
+  let first_start = List.hd (tx_times link) - tx in
+  check "elapsed virtual time"
+    ((5 * tx) + (5 * Time.ms 1) + Time.ms (1 + 2 + 4 + 8))
+    (Time.diff gave_up first_start);
+  let s = Tier.Fleet.stats fleet in
+  check "four retransmits" 4 s.Tier.Fleet.retransmits;
+  check "five lost packets" 5 s.Tier.Fleet.lost_packets;
+  check "one give-up" 1 s.Tier.Fleet.give_ups;
+  checkb "books balance" true (Tier.Fleet.books_balanced fleet)
 
 (* --- Typed not-bound errors on the sharing drivers --- *)
 
@@ -348,8 +375,8 @@ let suite =
         qtest fleet_books_model ] );
     ( "fleet.retransmit",
       [ Alcotest.test_case "bounded exponential ladder" `Quick backoff_ladder;
-        Alcotest.test_case "chosen delays surface in stats" `Quick
-          retx_delays_surfaced ] );
+        Alcotest.test_case "chosen delays surface in virtual time" `Quick
+          retx_elapsed_time ] );
     ( "share.errors",
       [ Alcotest.test_case "typed not-bound keeps legacy strings" `Quick
           typed_not_bound ] );

@@ -479,7 +479,7 @@ let experiment_axis_complete () =
     (Registry.names Experiments.Catalog.ablation_axis);
   (* The backing axis carries all four stack drivers. *)
   Alcotest.(check (list string))
-    "backing drivers" [ "fleet"; "sfs"; "tiered"; "zram" ]
+    "backing drivers" [ "fleet"; "sfs"; "zram" ]
     (Registry.names Tier.Backing.axis)
 
 (* --- Introspection ----------------------------------------------------- *)

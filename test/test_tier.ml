@@ -1,7 +1,7 @@
 (* Tests for the disaggregated backing-store tier: the Backing record,
-   the remote-node model, the tiered store's promotion/demotion and
-   double-entry loss books, and the (p,s,x,l) link plumbing the tier
-   rides on. *)
+   the remote-node model, remote paging through a one-node fleet
+   (promotion/demotion, the double-entry loss and packet books), and
+   the (p,s,x,l) link plumbing the tier rides on. *)
 
 open Engine
 
@@ -27,22 +27,28 @@ let admit_exn link ~name ~period ~slice ?laxity () =
   | Ok c -> c
   | Error e -> failwith (Usnet.Link.admit_error_message e)
 
-(* A tiered store over a 32-page swapfile with its own link, client and
-   remote node. *)
+(* Remote paging over a 32-page swapfile: a one-node [Replicated 1]
+   fleet with its own link, client and remote node. *)
 let mk_rig ?mode ?(cache_pages = 4) ?(remote_pages = 16)
     ?(link_name = "tlink") () =
   let sim, _, fs = mk_sfs () in
   let swap = open_swap_exn fs ~name:"t" ~bytes:(256 * 1024) in
   let link = Usnet.Link.create ~name:link_name sim in
-  let client =
-    admit_exn link ~name:"t.tier" ~period:(Time.ms 20) ~slice:(Time.ms 10)
-      ~laxity:(Time.of_ms_float 2.0) ()
-  in
   let remote = Tier.Remote_node.create ~capacity_pages:remote_pages () in
-  let store =
-    Tier.Store.create ?mode ~cache_pages ~link ~client ~remote ~swap ()
+  let fleet =
+    Tier.Fleet.create ~seed:1 ~redundancy:(Tier.Fleet.Replicated 1)
+      ~nodes:[ (link_name, remote, link) ] sim
   in
-  (sim, store, swap, remote)
+  let clients =
+    match
+      Tier.Fleet.admit_clients fleet ~name:"t.tier" ~period:(Time.ms 20)
+        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
+    with
+    | Ok cs -> cs
+    | Error e -> failwith (Usnet.Link.admit_error_message e)
+  in
+  let store = Tier.Fleet.attach ?mode fleet ~cache_pages ~clients ~swap () in
+  (sim, fleet, store, swap, remote)
 
 (* --- Backing --- *)
 
@@ -97,11 +103,11 @@ let remote_node_capacity () =
   Tier.Remote_node.wipe n;
   check "wiped" 0 (Tier.Remote_node.used_pages n)
 
-(* --- Store: deterministic demote / promote / hit --- *)
+(* --- Remote paging: deterministic demote / promote / hit --- *)
 
 let tier_demote_promote () =
-  let sim, store, swap, remote = mk_rig ~cache_pages:2 () in
-  let b = Tier.Store.backing store in
+  let sim, fleet, store, swap, remote = mk_rig ~cache_pages:2 () in
+  let b = Tier.Fleet.backing store in
   let owner = Usbs.Sfs.swap_name swap in
   let w slot =
     match b.Tier.Backing.write_pages ~page_index:slot ~npages:1 with
@@ -123,41 +129,19 @@ let tier_demote_promote () =
          (* remote hit, promoted back (demoting slot 1 in turn) *)
          r 0 (* now a local RAM-tier hit *)));
   Sim.run ~until:(Time.sec 5) sim;
-  let s = Tier.Store.stats store in
-  let open Tier.Store in
-  check "demotes" 2 s.demotes;
-  check "remote hit" 1 s.remote_hits;
-  check "promote" 1 s.promotes;
-  check "cache hit" 1 s.cache_hits;
-  check "no disk round-trips" 0 s.remote_misses;
+  let s = Tier.Fleet.store_stats store in
+  let open Tier.Fleet in
+  check "demotes" 2 s.st_demotes;
+  check "remote hit" 1 s.st_fleet_hits;
+  check "promote" 1 s.st_promotes;
+  check "cache hit" 1 s.st_cache_hits;
+  check "no disk round-trips" 0 s.st_fleet_misses;
   checkb "remote stays inclusive after promotion" true
     (Tier.Remote_node.holds remote ~owner ~slot:0);
-  checkb "books balance" true (books_balanced store);
-  check "nothing lost" 0 s.lost_slots
+  checkb "books balance" true (books_balanced fleet);
+  check "nothing lost" 0 s.st_lost_slots
 
-(* --- Store and Fleet: model property and differential --- *)
-
-(* The other lower layer under the same Cache front end: a one-node
-   [Replicated 1] fleet over the same shape of swapfile, link and
-   remote node as [mk_rig]. *)
-let mk_fleet_rig ?mode ~cache_pages ~remote_pages () =
-  let sim, _, fs = mk_sfs () in
-  let swap = open_swap_exn fs ~name:"t" ~bytes:(256 * 1024) in
-  let link = Usnet.Link.create ~name:"tlink" sim in
-  let remote = Tier.Remote_node.create ~capacity_pages:remote_pages () in
-  let fleet =
-    Tier.Fleet.create ~seed:1 ~redundancy:(Tier.Fleet.Replicated 1)
-      ~nodes:[ ("tlink", remote, link) ] sim
-  in
-  let clients =
-    match
-      Tier.Fleet.admit_clients fleet ~name:"t.tier" ~period:(Time.ms 20)
-        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
-    with
-    | Ok cs -> cs
-    | Error e -> failwith (Usnet.Link.admit_error_message e)
-  in
-  (sim, fleet, Tier.Fleet.attach ?mode fleet ~cache_pages ~clients ~swap ())
+(* --- Remote paging: model property --- *)
 
 (* Run an op sequence through a backing, then read back every slot
    ever written: the outcome of each write and each read, in order. *)
@@ -184,10 +168,9 @@ let drive sim b ops =
   List.rev !outcomes
 
 (* Random op sequences over random cache / remote-node sizes (including
-   a zero-capacity remote node) and both write modes, through both
-   lower layers: every slot ever written must read back Ok, the books
-   must balance, and Store and a one-node fleet must agree on every
-   outcome and every front-end counter. *)
+   a zero-capacity remote node) and both write modes: every slot ever
+   written must read back Ok, the books must balance and no slot may
+   be lost. *)
 let tier_model =
   QCheck.Test.make ~count:20
     ~name:"tier: every written slot reads back, any shape"
@@ -199,57 +182,28 @@ let tier_model =
       (* the shrinker can step outside the generators' ranges *)
       let cache_pages = max 1 cache_pages
       and remote_pages = max 0 remote_pages in
-      let mode =
-        if wb then Tier.Store.Write_back else Tier.Store.Write_through
-      in
-      let sim, store, _, _ = mk_rig ~mode ~cache_pages ~remote_pages () in
-      let by_store = drive sim (Tier.Store.backing store) ops in
-      let fsim, fleet, fstore =
-        mk_fleet_rig ~mode ~cache_pages ~remote_pages ()
-      in
-      let by_fleet = drive fsim (Tier.Fleet.backing fstore) ops in
-      let s = Tier.Store.stats store and f = Tier.Fleet.store_stats fstore in
-      let front_store =
-        Tier.Store.
-          [ s.cache_hits; s.remote_hits; s.remote_misses; s.promotes;
-            s.demotes; s.lost_slots ]
-      and front_fleet =
-        Tier.Fleet.
-          [ f.st_cache_hits; f.st_fleet_hits; f.st_fleet_misses;
-            f.st_promotes; f.st_demotes; f.st_lost_slots ]
-      in
-      let show l = String.concat "/" (List.map string_of_int l) in
-      let marks l =
-        String.concat "" (List.map (fun ok -> if ok then "+" else "-") l)
-      in
-      if by_store <> by_fleet then
-        QCheck.Test.fail_reportf "op outcomes differ: store %s, fleet %s"
-          (marks by_store) (marks by_fleet)
-      else if front_store <> front_fleet then
-        QCheck.Test.fail_reportf
-          "front-end counters differ \
-           (cache/hits/misses/promotes/demotes/lost): store %s, fleet %s"
-          (show front_store) (show front_fleet)
-      else
-        List.for_all Fun.id by_store
-        && Tier.Store.books_balanced store
-        && Tier.Fleet.books_balanced fleet
-        && s.Tier.Store.lost_slots = 0)
+      let mode = if wb then Tier.Cache.Write_back else Tier.Cache.Write_through in
+      let sim, fleet, store, _, _ = mk_rig ~mode ~cache_pages ~remote_pages () in
+      let outcomes = drive sim (Tier.Fleet.backing store) ops in
+      List.for_all Fun.id outcomes
+      && Tier.Fleet.books_balanced fleet
+      && (Tier.Fleet.store_stats store).Tier.Fleet.st_lost_slots = 0)
 
-(* --- Store: loss books under link chaos --- *)
+(* --- Remote paging: loss and packet books under link chaos --- *)
 
 (* Write-through under a hostile link: the disk always has a copy, so
-   chaos may cost retransmissions and latency but never pages, and the
-   double-entry loss equations must hold whatever the seed. *)
+   chaos may cost retransmissions and latency but never pages, the
+   double-entry books must hold whatever the seed, and every packet
+   the fleet lost is a drop the fault plan dealt. *)
 let tier_chaos_books =
   QCheck.Test.make ~count:8
     ~name:"tier: loss books balance under link chaos"
     QCheck.(int_bound 9999)
     (fun seed ->
-      let sim, store, _, _ =
+      let sim, fleet, store, _, _ =
         mk_rig ~cache_pages:2 ~remote_pages:8 ~link_name:"chaoslink" ()
       in
-      let b = Tier.Store.backing store in
+      let b = Tier.Fleet.backing store in
       Inject.arm
         { Inject.default_plan with
           seed;
@@ -276,10 +230,13 @@ let tier_chaos_books =
                    | Error _ -> incr bad
                  done));
           Sim.run ~until:(Time.sec 60) sim;
-          let s = Tier.Store.stats store in
+          let f = Tier.Fleet.stats fleet in
           !bad = 0
-          && Tier.Store.books_balanced store
-          && s.Tier.Store.lost_slots = 0))
+          && Tier.Fleet.books_balanced fleet
+          && f.Tier.Fleet.lost_packets
+             = f.Tier.Fleet.retransmits + f.Tier.Fleet.give_ups
+          && f.Tier.Fleet.lost_packets = (Inject.tally ()).Inject.link_drops
+          && (Tier.Fleet.store_stats store).Tier.Fleet.st_lost_slots = 0))
 
 (* --- Link: typed admission errors and laxity --- *)
 
