@@ -143,11 +143,14 @@ lint-registry:
 	dune exec bin/nemesis_sim.exe -- lint-registry
 
 # Export hygiene: every `val` in lib/**/*.mli needs a caller in lib/,
-# bin/, bench/ or perfbench/, or a line with a reason in
-# tools/exports_allowlist.txt. Fails on a new caller-less export and on
-# a listed one that gained a caller, so the allowlist only shrinks.
-# Must run from the repo root.
+# bin/, bench/ or perfbench/ that names it through its module path, or
+# a line in tools/exports_allowlist.txt citing the tests or examples
+# that use it and the behaviour they check. Fails on a new caller-less
+# export, on a listed one that gained a caller and on a citation that
+# does not name the value, so the allowlist only shrinks. The lint's
+# own fixture test runs first. Must run from the repo root.
 lint-exports:
+	python3 tools/test_lint_exports.py
 	python3 tools/lint_exports.py
 
 check: fmt build test lint-registry lint-exports smoke chaos crash remote failover erasure scale share perfbench-smoke

@@ -9,11 +9,8 @@ type t = {
   pager : System.domain;
   queue : job Sync.Mailbox.t;
   swap_qos : Usbs.Qos.t;
-  mutable handled : int;
 }
 
-let queue_depth t = Sync.Mailbox.length t.queue
-let faults_handled t = t.handled
 let pager_domain t = t.pager
 
 (* The pager's service loop: strict FCFS over all clients' faults. *)
@@ -32,7 +29,6 @@ let pager_loop t () =
            (Fault.Failed "pager retried"))
     | Stretch_driver.Failure m ->
       ignore (Sync.Ivar.try_fill job.fault.Fault.resolved (Fault.Failed m)));
-    t.handled <- t.handled + 1;
     loop ()
   in
   loop ()
@@ -50,8 +46,7 @@ let create sys ?(frames = 64) ?qos ?(cpu_slice = Time.ms 2) () =
   | Error e -> Error (System.error_message e)
   | Ok pager ->
     let t =
-      { sys; pager; queue = Sync.Mailbox.create (); swap_qos = qos;
-        handled = 0 }
+      { sys; pager; queue = Sync.Mailbox.create (); swap_qos = qos }
     in
     ignore
       (Domains.spawn_thread pager.System.dom ~name:"pager-loop"

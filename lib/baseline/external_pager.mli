@@ -35,6 +35,4 @@ val attach :
     queue; the pager resolves it with a paged driver running on the
     pager's own resources ([cache_frames] per client, default 2). *)
 
-val queue_depth : t -> int
-val faults_handled : t -> int
 val pager_domain : t -> System.domain

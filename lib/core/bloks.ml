@@ -4,11 +4,11 @@ type chunk = {
   base : int;  (* first blok index covered *)
   nbits : int; (* bloks covered (<= 64) *)
   mutable bits : int64; (* 1 = allocated *)
-  mutable next : chunk option;
+  next : chunk option;
 }
 
 type t = {
-  mutable head : chunk option;
+  head : chunk option;
   mutable hint : chunk option;
       (* earliest structure known to have free bloks *)
   capacity : int;
@@ -29,7 +29,6 @@ let create ~nbloks =
 
 let capacity t = t.capacity
 let in_use t = t.used
-let free_count t = t.capacity - t.used
 
 let chunk_full c =
   if c.nbits = chunk_bits then Int64.equal c.bits Int64.minus_one

@@ -36,9 +36,5 @@ val handle_now : 'job t -> 'job -> unit
 val defer : 'job t -> 'job -> unit
 (** Queue a job straight for the workers, skipping the fast path. *)
 
-val depth : 'job t -> int
-(** Jobs currently queued for workers. *)
-
 val fast_handled : 'job t -> int
 val slow_handled : 'job t -> int
-val name : 'job t -> string

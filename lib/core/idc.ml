@@ -11,8 +11,6 @@ type ('req, 'rep) t = {
   entry : ('req, 'rep) invocation Entry.t;
 }
 
-let name t = t.iname
-let server t = t.sdom
 let calls_served t = Entry.slow_handled t.entry
 
 let offer sdom ~name ?workers handler =

@@ -25,6 +25,4 @@ val call : Domains.t -> ('req, 'rep) t -> 'req -> 'rep
     [Failure] inside an activation handler, or if the server domain
     has died. *)
 
-val name : ('req, 'rep) t -> string
-val server : ('req, 'rep) t -> Domains.t
 val calls_served : ('req, 'rep) t -> int

@@ -38,16 +38,6 @@ let bind t ~path entry =
       Ok ()
     end
 
-let rebind t ~path entry =
-  match walk t (split path) ~create_missing:true with
-  | Error _ as e -> e
-  | Ok (ctx, name) ->
-    (match Hashtbl.find_opt ctx.bindings name with
-    | Some (Context _) -> Error (Printf.sprintf "%S is a context" path)
-    | Some (Value _) | None ->
-      Hashtbl.replace ctx.bindings name (Value entry);
-      Ok ())
-
 let lookup t ~path =
   match walk t (split path) ~create_missing:false with
   | Error _ -> None
@@ -71,13 +61,3 @@ let list t ~path =
   | None -> None
   | Some ctx ->
     Some (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) ctx.bindings []))
-
-let unbind t ~path =
-  match walk t (split path) ~create_missing:false with
-  | Error _ -> false
-  | Ok (ctx, name) ->
-    (match Hashtbl.find_opt ctx.bindings name with
-    | Some (Value _) ->
-      Hashtbl.remove ctx.bindings name;
-      true
-    | Some (Context _) | None -> false)

@@ -22,14 +22,8 @@ val bind : t -> path:string -> entry -> (unit, string) result
 (** Fails when a path component is empty, or when the path traverses a
     published value, or when the final name is already bound. *)
 
-val rebind : t -> path:string -> entry -> (unit, string) result
-(** Like [bind] but replaces an existing value binding. *)
-
 val lookup : t -> path:string -> entry option
 
 val list : t -> path:string -> string list option
 (** Names bound in a context (sorted); [None] if the path does not
     name a context. [""] lists the root. *)
-
-val unbind : t -> path:string -> bool
-(** Remove a value binding; contexts cannot be unbound. *)

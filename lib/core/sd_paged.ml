@@ -46,13 +46,10 @@ type info = {
 
 type state = {
   env : Stretch_driver.env;
-  swap : Usbs.Sfs.swapfile;
   (* every data-path transaction goes through [backing]; the default
-     ([Tier.Backing.of_sfs swap]) is the swapfile itself, bit-for-bit.
-     [swap] stays for identity (journal reattach, extent scoping). *)
+     ([Tier.Backing.of_sfs swap]) is the swapfile itself, bit-for-bit *)
   backing : Tier.Backing.t;
   forgetful : bool;
-  spec : Policy.Spec.t;
   repl : Policy.Replacement.t;
   pf : Policy.Prefetch.t;
   mutable wb : Policy.Writeback.t;
@@ -1074,7 +1071,7 @@ let create ?(forgetful = false) ?(initial_frames = 0) ?(readahead = 0)
   let spec = Policy.Spec.with_readahead policy readahead in
   let tick_ref = ref (fun () -> 0) in
   let st =
-    { env; swap; backing; forgetful; spec;
+    { env; backing; forgetful;
       repl = Policy.Spec.make_replacement spec ~now:(fun () -> !tick_ref ());
       pf = Policy.Spec.make_prefetch spec;
       wb = Policy.Writeback.create ~write:(fun ~blok:_ ~nbloks:_ -> ()) ();

@@ -107,7 +107,7 @@ type Namespace.entry +=
 let va_base = 0x1000_0000
 
 let create ?(config = default_config) () =
-  let simulator = Sim.create ~seed:config.seed () in
+  let simulator = Sim.create () in
   let pt_impl =
     match config.page_table with
     | `Linear -> Linear_pt.impl (Linear_pt.create ~va_bits:config.va_bits ())
@@ -160,7 +160,6 @@ let create ?(config = default_config) () =
 let sim t = t.simulator
 let config t = t.cfg
 let namespace t = t.names
-let cpu t = t.the_cpu
 let mmu t = t.the_mmu
 let translation t = t.the_translation
 let ramtab t = t.ramtab

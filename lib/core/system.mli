@@ -15,7 +15,6 @@
 open Engine
 open Hw
 open Disk
-open Sched
 
 type config = {
   seed : int;
@@ -58,7 +57,6 @@ type error =
   | Not_a_driver_factory of { path : string }
   | No_driver_published of { path : string }
 
-val pp_error : Format.formatter -> error -> unit
 val error_message : error -> string
 
 type domain_spec = {
@@ -91,7 +89,6 @@ val create : ?config:config -> unit -> t
 
 val sim : t -> Sim.t
 val config : t -> config
-val cpu : t -> Cpu.t
 val mmu : t -> Mmu.t
 val translation : t -> Translation.t
 

@@ -1,7 +1,6 @@
 open Engine
 
 type thread = {
-  tname : string;
   mutable proc : Proc.t option;
   (* Parking protocol: a blocked thread stores its waker here; an
      unblock before the block is remembered as a pending wake so the
@@ -20,10 +19,6 @@ let create dom = { dom; live = [] }
 let charge t =
   Domains.consume_cpu t.dom (Domains.cost t.dom).Hw.Cost.ults_schedule
 
-let thread_name th = th.tname
-
-let alive th = match th.proc with Some p -> Proc.is_alive p | None -> false
-
 let threads t = List.length t.live
 
 let find_self t =
@@ -34,11 +29,9 @@ let find_self t =
      ULTS instance does not own. *)
   | None -> failwith "Ults.self: not inside a ULTS thread"
 
-let self t = find_self t
-
 let fork t ~name body =
   charge t;
-  let th = { tname = name; proc = None; waker = None; pending_wake = false } in
+  let th = { proc = None; waker = None; pending_wake = false } in
   let p =
     Domains.spawn_thread t.dom ~name (fun () ->
         Fun.protect

@@ -22,10 +22,6 @@ val create : Domains.t -> t
 val fork : t -> name:string -> (unit -> unit) -> thread
 (** Start a thread (costs one scheduling decision). *)
 
-val self : t -> thread
-(** The calling thread. Raises [Failure] from outside any ULTS
-    thread. *)
-
 val yield : t -> unit
 (** Re-enter the scheduler, letting other runnable work (of this and
     other domains) proceed; charges [ults_schedule]. *)
@@ -39,7 +35,5 @@ val unblock : t -> thread -> unit
     cannot lose a notification). *)
 
 val join : t -> thread -> unit
-val alive : thread -> bool
-val thread_name : thread -> string
 val threads : t -> int
 (** Live threads. *)

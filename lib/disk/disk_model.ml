@@ -145,7 +145,6 @@ let erase t ~lba = Hashtbl.remove t.contents lba
 
 let cache_hits t = t.cache_hits
 let mechanical_ops t = t.mechanical
-let seeks t = t.seeks
 
 let pp_stats ppf t =
   Format.fprintf ppf "cache-hits=%d mechanical=%d seeks=%d" t.cache_hits

@@ -67,7 +67,5 @@ val erase : t -> lba:int -> unit
 
 val cache_hits : t -> int
 val mechanical_ops : t -> int
-val seeks : t -> int
-(** Transactions that required a non-zero cylinder move. *)
 
 val pp_stats : Format.formatter -> t -> unit

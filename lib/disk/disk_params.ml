@@ -39,10 +39,6 @@ let cylinder_of_lba t lba = lba / blocks_per_cylinder t
 
 let sector_in_track t lba = lba mod t.sectors_per_track
 
-let media_rate t =
-  float_of_int (t.sectors_per_track * t.block_size)
-  /. (float_of_int t.rotation /. 1e9)
-
 let seek_time t distance =
   if distance <= 0 then 0
   else begin

@@ -26,15 +26,10 @@ type t = {
 val vp3221 : t
 
 val cylinders : t -> int
-val blocks_per_cylinder : t -> int
 val blocks_per_track : t -> int
 
 val cylinder_of_lba : t -> int -> int
 val sector_in_track : t -> int -> int
-
-val media_rate : t -> float
-(** Sustained media transfer rate in bytes per second (one track per
-    revolution). *)
 
 val seek_time : t -> int -> Time.span
 (** [seek_time p distance] for a move of [distance] cylinders; a

@@ -3,7 +3,6 @@ type 'a t = { mutable arr : 'a array; mutable len : int }
 let create () = { arr = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let check t i =
   if i < 0 || i >= t.len then invalid_arg "Dynarray: index out of bounds"
@@ -11,10 +10,6 @@ let check t i =
 let get t i =
   check t i;
   t.arr.(i)
-
-let set t i v =
-  check t i;
-  t.arr.(i) <- v
 
 let add_last t v =
   let cap = Array.length t.arr in
@@ -27,18 +22,9 @@ let add_last t v =
   t.arr.(t.len) <- v;
   t.len <- t.len + 1
 
-let clear t =
-  t.arr <- [||];
-  t.len <- 0
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.arr.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.arr.(i)
   done
 
 let fold_left f init t =
@@ -49,5 +35,3 @@ let fold_left f init t =
   !acc
 
 let to_array t = Array.sub t.arr 0 t.len
-
-let to_list t = Array.to_list (to_array t)

@@ -4,8 +4,6 @@ type 'a t = { mutable arr : 'a entry array; mutable len : int }
 
 let create () = { arr = [||]; len = 0 }
 
-let length h = h.len
-
 let is_empty h = h.len = 0
 
 let less a b = a.key < b.key || (a.key = b.key && a.sub < b.sub)

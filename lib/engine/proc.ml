@@ -33,7 +33,6 @@ let self () =
   | None -> failwith "Proc.self: not inside a process"
 
 let sim p = p.sim
-let name p = p.name
 
 let current_sim () = sim (self ())
 

@@ -20,7 +20,6 @@ val self : unit -> t
 (** The currently running process. Raises [Failure] outside one. *)
 
 val sim : t -> Sim.t
-val name : t -> string
 
 val current_sim : unit -> Sim.t
 (** Simulator of the currently running process. *)

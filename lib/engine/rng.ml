@@ -13,10 +13,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
-
 let int t bound =
   assert (bound > 0);
   (* Mask to OCaml's positive int range (to_int keeps the low 63 bits,
@@ -28,10 +24,3 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   (* 53 random bits, scaled to [0,1). *)
   v /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u

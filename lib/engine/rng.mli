@@ -8,19 +8,8 @@ type t
 
 val create : seed:int -> t
 
-val split : t -> t
-(** Derive an independent stream from the current state. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be > 0. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean. *)

@@ -16,21 +16,17 @@ type t = {
   mutable ring_head : int;
   mutable ring_len : int;
   live : int ref; (* scheduled and not cancelled *)
-  root_rng : Rng.t;
 }
 
 (* Fills empty ring slots, so fired closures are not retained, and
    stands for "no event" in [next]. Never scheduled or cancelled. *)
 let none = { cancelled = false; fn = ignore; live = ref 0 }
 
-let create ?(seed = 42) () =
+let create () =
   { clock = Time.zero; queue = Heap.create (); seq = 0;
-    ring = Array.make 16 none; ring_head = 0; ring_len = 0; live = ref 0;
-    root_rng = Rng.create ~seed }
+    ring = Array.make 16 none; ring_head = 0; ring_len = 0; live = ref 0 }
 
 let now t = t.clock
-
-let rng t = t.root_rng
 
 let ring_push t h =
   let cap = Array.length t.ring in

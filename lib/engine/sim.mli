@@ -11,15 +11,10 @@ type t
 type handle
 (** A scheduled event; may be cancelled before it fires. *)
 
-val create : ?seed:int -> unit -> t
-(** Fresh simulator with clock at {!Time.zero}. [seed] (default 42)
-    initialises the root random stream. *)
+val create : unit -> t
+(** Fresh simulator with clock at {!Time.zero}. *)
 
 val now : t -> Time.t
-
-val rng : t -> Rng.t
-(** The simulator's root random stream. Subsystems should {!Rng.split}
-    it rather than share it. *)
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** [at sim t f] schedules [f] to run at absolute time [t]. Scheduling

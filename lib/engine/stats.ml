@@ -1,23 +1,18 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
-  mutable total : float;
   mutable minv : float;
   mutable maxv : float;
   samples : float Dynarray.t option;
 }
 
 let create ?(keep_samples = false) () =
-  { n = 0; mean = 0.0; m2 = 0.0; total = 0.0; minv = nan; maxv = nan;
+  { n = 0; mean = 0.0; minv = nan; maxv = nan;
     samples = (if keep_samples then Some (Dynarray.create ()) else None) }
 
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
   if t.n = 1 then begin
     t.minv <- x;
     t.maxv <- x
@@ -29,11 +24,8 @@ let add t x =
   match t.samples with Some d -> Dynarray.add_last d x | None -> ()
 
 let count t = t.n
-let total t = t.total
 let mean t = if t.n = 0 then 0.0 else t.mean
 
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min_value t = t.minv
 let max_value t = t.maxv
 
@@ -58,10 +50,6 @@ let percentile t p =
       end
     end
 
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-    (stddev t) t.minv t.maxv
-
 module Series = struct
   type t = { times : Time.t Dynarray.t; vals : float Dynarray.t }
 
@@ -76,8 +64,6 @@ module Series = struct
   let to_list t =
     List.init (length t) (fun i ->
         (Dynarray.get t.times i, Dynarray.get t.vals i))
-
-  let values t = Dynarray.to_list t.vals
 
   let mean_after t cutoff =
     let sum = ref 0.0 and n = ref 0 in

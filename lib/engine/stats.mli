@@ -1,7 +1,7 @@
 (** Online statistics and simple fixed-bucket histograms. *)
 
 type t
-(** A running summary: count, mean, variance (Welford), min, max, and —
+(** A running summary: count, mean, min, max, and —
     when created with [~keep_samples:true] — exact percentiles. *)
 
 val create : ?keep_samples:bool -> unit -> t
@@ -9,14 +9,9 @@ val create : ?keep_samples:bool -> unit -> t
 val add : t -> float -> unit
 
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 (** 0.0 when empty. *)
 
-val variance : t -> float
-(** Sample variance; 0.0 with fewer than two observations. *)
-
-val stddev : t -> float
 val min_value : t -> float
 (** [nan] when empty. *)
 
@@ -31,8 +26,6 @@ val percentile : t -> float -> float
     @raise Invalid_argument when [p] is outside [0,100] (or NaN), or
     when samples were not kept. *)
 
-val pp : Format.formatter -> t -> unit
-
 module Series : sig
   (** Time-stamped scalar series, e.g. the bandwidth-vs-time plots of
       Figures 7–9. *)
@@ -41,9 +34,7 @@ module Series : sig
 
   val create : unit -> t
   val add : t -> Time.t -> float -> unit
-  val length : t -> int
   val to_list : t -> (Time.t * float) list
-  val values : t -> float list
 
   val mean_after : t -> Time.t -> float
   (** Mean of the values sampled at or after the given instant — used

@@ -45,7 +45,6 @@ module Ivar = struct
       r
 
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
-  let is_filled t = match t.state with Full _ -> true | Empty _ -> false
 end
 
 module Mailbox = struct
@@ -61,14 +60,11 @@ module Mailbox = struct
     | Some wake -> wake v
     | None -> Queue.add v t.items
 
-  let try_recv t = Queue.take_opt t.items
-
   let recv t =
     match Queue.take_opt t.items with
     | Some v -> v
     | None -> Proc.suspend (fun wake -> Queue.add wake t.receivers)
 
-  let length t = Queue.length t.items
 end
 
 module Semaphore = struct

@@ -23,7 +23,6 @@ module Ivar : sig
   (** Block until filled or until the timeout elapses ([None]). *)
 
   val peek : 'a t -> 'a option
-  val is_filled : 'a t -> bool
 end
 
 module Mailbox : sig
@@ -38,8 +37,6 @@ module Mailbox : sig
   (** Block until a message is available. Messages are delivered in
       FIFO order; competing receivers are served in arrival order. *)
 
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end
 
 module Semaphore : sig
@@ -49,7 +46,6 @@ module Semaphore : sig
   (** Initial count must be >= 0. *)
 
   val acquire : t -> unit
-  val try_acquire : t -> bool
   val release : t -> unit
 end
 

@@ -4,10 +4,6 @@ let create () = Dynarray.create ()
 
 let record t time v = Dynarray.add_last t (time, v)
 
-let length = Dynarray.length
-
-let to_list = Dynarray.to_list
-
 let filter p t =
   Dynarray.fold_left
     (fun acc (time, v) -> if p v then (time, v) :: acc else acc)

@@ -11,10 +11,6 @@ val create : unit -> 'a t
 
 val record : 'a t -> Time.t -> 'a -> unit
 
-val length : 'a t -> int
-
-val to_list : 'a t -> (Time.t * 'a) list
-
 val filter : ('a -> bool) -> 'a t -> (Time.t * 'a) list
 
 val between : 'a t -> Time.t -> Time.t -> (Time.t * 'a) list

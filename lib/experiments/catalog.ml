@@ -83,7 +83,7 @@ let () =
     Registry.register_exn ablation_axis
       (Registry.manifest ~name ~doc ())
       (fun a ->
-        if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then Ok run
+        if a.Registry.Syntax.args = [] && a.Registry.Syntax.params = [] then Ok run
         else Error (Printf.sprintf "%s takes no parameter" name))
   in
   reg "laxity" "the short-block problem: USD laxity on vs off" (fun d ->
@@ -182,7 +182,7 @@ let () =
     Registry.register_exn axis
       (Registry.manifest ~name ~doc ~params ())
       (fun a ->
-        if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
+        if a.Registry.Syntax.args = [] && a.Registry.Syntax.params = [] then
           Ok { e_modules = modules; e_run }
         else Error (Printf.sprintf "%s takes no parameter" name))
   in

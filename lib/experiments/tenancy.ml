@@ -93,7 +93,6 @@ let tenant_fault_stats () =
        (Obs.Metrics.labels_of "fault.latency_us"))
 
 type tenant_rec = {
-  tr_name : string;
   tr_dom : System.domain;
   tr_cow : Share.Cow.tenant;
   tr_seg : Share.Seg.attachment;
@@ -271,7 +270,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
              Share.Seg.attach seg d |> admit (name ^ " seg")
            in
            recs :=
-             { tr_name = name; tr_dom = d; tr_cow = cow; tr_seg = att;
+             { tr_dom = d; tr_cow = cow; tr_seg = att;
                tr_live = true }
              :: !recs;
            ignore

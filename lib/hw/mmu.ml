@@ -22,8 +22,6 @@ let set_pte t ~vpn pte =
   t.pt.Page_table.set vpn pte;
   Tlb.invalidate t.tlb ~vpn
 
-let pt_kind t = t.pt.Page_table.kind
-let tlb t = t.tlb
 let cost t = t.cost
 
 let access t ~rights ~asn va kind =

@@ -43,6 +43,4 @@ val set_pte : t -> vpn:int -> Pte.t -> unit
 
 val pp_fault_kind : Format.formatter -> fault_kind -> unit
 
-val pt_kind : t -> string
-val tlb : t -> Tlb.t
 val cost : t -> Cost.t

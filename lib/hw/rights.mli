@@ -10,15 +10,10 @@ type t = { r : bool; w : bool; x : bool; m : bool }
 val none : t
 val read : t
 val read_write : t
-val rwx : t
 val all : t
 (** Read, write, execute and meta. *)
 
 val rw_meta : t
-
-val union : t -> t -> t
-val inter : t -> t -> t
-val subset : t -> t -> bool
 
 val permits : t -> [ `Read | `Write | `Execute ] -> bool
 
@@ -28,5 +23,3 @@ val to_bits : t -> int
 val of_bits : int -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-(** e.g. ["rw-m"]. *)

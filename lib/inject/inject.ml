@@ -110,7 +110,7 @@ let site_axis : (plan -> plan) Registry.axis =
 let ( let* ) = Result.bind
 
 let p_int a key =
-  match Registry.Spec.param a key with
+  match Registry.Syntax.param a key with
   | None -> Ok None
   | Some v -> (
       match int_of_string_opt v with
@@ -118,7 +118,7 @@ let p_int a key =
       | None -> Error (Printf.sprintf "bad integer %s=%S" key v))
 
 let p_float a key =
-  match Registry.Spec.param a key with
+  match Registry.Syntax.param a key with
   | None -> Ok None
   | Some v -> (
       match float_of_string_opt v with
@@ -136,19 +136,19 @@ let req key = function
 
 let ri a key = Result.bind (p_int a key) (req key)
 let rf a key = Result.bind (p_float a key) (req key)
-let rs a key = req key (Registry.Spec.param a key)
+let rs a key = req key (Registry.Syntax.param a key)
 let rspan a key = Result.bind (p_span a key) (req key)
 
 (* Sites take only [k=v] parameters, and only the declared ones — a
    typoed key must not silently weaken a chaos plan. *)
 let check_keys a allowed =
-  match a.Registry.Spec.args with
+  match a.Registry.Syntax.args with
   | arg :: _ -> Error (Printf.sprintf "unexpected argument %S" arg)
   | [] -> (
       match
         List.find_opt
           (fun (k, _) -> not (List.mem k allowed))
-          a.Registry.Spec.params
+          a.Registry.Syntax.params
       with
       | Some (k, _) -> Error (Printf.sprintf "unknown parameter %S" k)
       | None -> Ok ())
@@ -180,7 +180,7 @@ let () =
       let* bf_first = ri a "first" in
       let* bf_len = ri a "len" in
       let* bf_op =
-        match Registry.Spec.param a "op" with
+        match Registry.Syntax.param a "op" with
         | None -> Ok None
         | Some "read" -> Ok (Some Read)
         | Some "write" -> Ok (Some Write)
@@ -280,7 +280,7 @@ let () =
       let* len = p_int a "len" in
       let cp =
         { cp_after;
-          cp_site = Registry.Spec.param a "site";
+          cp_site = Registry.Syntax.param a "site";
           cp_first = Option.value first ~default:0;
           cp_len = Option.value len ~default:0 }
       in
@@ -315,7 +315,7 @@ let () =
                   | Some x, Some y ->
                       Ok (acc @ [ (Time.of_ms_float x, Time.of_ms_float y) ])
                   | _ -> Error (Printf.sprintf "bad part=%S (want A-B)" v)))
-          (Ok []) a.Registry.Spec.params
+          (Ok []) a.Registry.Syntax.params
       in
       let nf =
         { nf_node; nf_wipe_at = wipe; nf_crash_at = crash;
@@ -427,7 +427,6 @@ let arm plan =
   reset ()
 
 let disarm () = enabled := false
-let plan () = !the_plan
 
 (* -- hooks ------------------------------------------------------------ *)
 

@@ -153,18 +153,6 @@ type plan = {
 val default_plan : plan
 (** Seed 0, nothing injected. *)
 
-val site_axis : (plan -> plan) Registry.axis
-(** Hook point for fault-site kinds. A spec string names a kind and
-    its parameters as [k=v] pairs — e.g.
-    ["bad-blok:first=2048,len=16,op=write"],
-    ["stall:site=victim.swap,rate=0.02,ms=30"],
-    ["node:name=mem1,crash-ms=4000,part=1000-2000"] — and resolving
-    it yields the function that appends that fault to a plan under
-    construction. The built-in kinds ([bad-blok], [region], [stall],
-    [chan], [link], [pressure], [zpool], [crash], [node]) are
-    ordinary registrations; a new fault site registers here without
-    editing this module. *)
-
 val plan_of_specs : seed:int -> string list -> (plan, Registry.error) result
 (** Build a plan from site specs, applied in order to
     [{default_plan with seed}] — list-valued sites append, so spec
@@ -182,8 +170,6 @@ val disarm : unit -> unit
 val reset : unit -> unit
 (** Reseed from the armed plan and clear counters — two [arm]-[reset]
     runs of the same workload inject identically. *)
-
-val plan : unit -> plan
 
 (** {2 Hooks (called by instrumented subsystems)} *)
 

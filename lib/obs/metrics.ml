@@ -216,29 +216,3 @@ let to_json () =
     (snapshot ());
   Buffer.add_string b "\n]";
   Buffer.contents b
-
-let to_csv () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "name,label,kind,field,value\n";
-  let row name label kind field value =
-    Buffer.add_string b
-      (Printf.sprintf "%s,%s,%s,%s,%s\n" name label kind field value)
-  in
-  List.iter
-    (fun (name, label, v) ->
-      match v with
-      | Counter n -> row name label "counter" "value" (string_of_int n)
-      | Gauge g -> row name label "gauge" "value" (Printf.sprintf "%g" g)
-      | Histogram h ->
-        row name label "histogram" "count" (string_of_int h.hv_count);
-        row name label "histogram" "mean" (Printf.sprintf "%g" h.hv_mean);
-        row name label "histogram" "min" (Printf.sprintf "%g" h.hv_min);
-        row name label "histogram" "max" (Printf.sprintf "%g" h.hv_max);
-        Array.iter
-          (fun (bound, c) ->
-            row name label "histogram"
-              (Printf.sprintf "le_%g" bound)
-              (string_of_int c))
-          h.hv_buckets)
-    (snapshot ());
-  Buffer.contents b

@@ -25,11 +25,8 @@ val set_gauge : ?label:string -> string -> float -> unit
 
 val observe : ?label:string -> ?bounds:float array -> string -> float -> unit
 (** Add a sample to a histogram. [bounds] (strictly increasing bucket
-    upper limits; default {!latency_bounds_us}) is only consulted when
-    the histogram is first created. *)
-
-val latency_bounds_us : float array
-(** Default histogram buckets: 1us .. 1s, roughly log-spaced. *)
+    upper limits; default roughly log-spaced 1 µs .. 1 s) is only
+    consulted when the histogram is first created. *)
 
 val counter_value : ?label:string -> string -> int
 (** 0 when the counter does not exist. *)
@@ -61,10 +58,6 @@ val hist_quantile : hist_view -> float -> float
 
 type value = Counter of int | Gauge of float | Histogram of hist_view
 
-val snapshot : unit -> (string * string * value) list
-(** Every registered metric as [(name, label, value)], sorted by name
-    then label. *)
-
 val labels_of : string -> string list
 (** The labels under which [name] is registered, sorted. *)
 
@@ -73,7 +66,3 @@ val reset : unit -> unit
 
 val to_json : unit -> string
 (** The whole registry as a JSON array (no trailing newline). *)
-
-val to_csv : unit -> string
-(** [name,label,kind,field,value] rows; histograms emit one row per
-    bucket plus count/mean/min/max rows. *)

@@ -17,16 +17,14 @@ module Ring = Ring
 module Metrics = Metrics
 module Span = Span
 module Qos_audit = Qos_audit
-module Heat = Heat
 
 let enabled = Switch.enabled
 
 let set_enabled v = Switch.enabled := v
 
-(* Clear every collector: the registry, the span buffer, the page-heat
-   table and the auditor (contracts, streaks and violations). *)
+(* Clear every collector: the registry, the span buffer and the
+   auditor (contracts, streaks and violations). *)
 let reset () =
   Metrics.reset ();
   Span.reset ();
-  Heat.reset ();
   Qos_audit.reset ()

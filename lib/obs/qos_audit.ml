@@ -45,8 +45,11 @@ type streak = {
   mutable got_acc : Time.span;
 }
 
-let tolerance = ref 0.1
-let patience = ref 2
+(* A backlogged client may miss this fraction of its slice per period
+   before the period counts as underserved, and a violation needs this
+   many underserved periods in a row. *)
+let tolerance = 0.1
+let patience = 2
 
 let events_ring : violation Ring.t = Ring.create ~capacity:4096 ()
 let class_counts : (string, int ref) Hashtbl.t = Hashtbl.create 8
@@ -54,15 +57,6 @@ let streaks : (string, streak) Hashtbl.t = Hashtbl.create 16
 let mem_guarantees : (int, int) Hashtbl.t = Hashtbl.create 16
 let mem_capacity = ref max_int
 let boundaries = ref 0
-
-let set_tolerance f =
-  if f < 0.0 || f >= 1.0 then
-    invalid_arg "Qos_audit.set_tolerance: not in [0,1)";
-  tolerance := f
-
-let set_patience n =
-  if n < 1 then invalid_arg "Qos_audit.set_patience: minimum 1";
-  patience := n
 
 let record ~now v =
   Ring.record events_ring now v;
@@ -85,13 +79,13 @@ let boundary ~now ~key ~entitled ~got ~backlogged make =
       s
   in
   let shortfall =
-    float_of_int (entitled - got) > !tolerance *. float_of_int entitled
+    float_of_int (entitled - got) > tolerance *. float_of_int entitled
   in
   if backlogged && shortfall then begin
     s.periods <- s.periods + 1;
     s.entitled_acc <- s.entitled_acc + entitled;
     s.got_acc <- s.got_acc + got;
-    if s.periods >= !patience then begin
+    if s.periods >= patience then begin
       record ~now (make ~entitled:s.entitled_acc ~got:s.got_acc
                      ~periods:s.periods);
       s.periods <- 0;
@@ -144,8 +138,6 @@ let by_class () =
   |> List.sort compare
 
 let events () = Ring.to_list events_ring
-
-let events_dropped () = Ring.dropped events_ring
 
 type summary = {
   audited_boundaries : int;

@@ -10,8 +10,8 @@
     {b Invariants audited}
 
     - {e CPU / USD undersupply}: a client that stayed backlogged for
-      [patience] consecutive periods yet received less than
-      [(1 - tolerance)] of its contracted slice in each. (A single
+      two consecutive periods yet received less than 90 % of its
+      contracted slice in each. (A single
       short period can legitimately be lost to one non-preemptible
       transaction crossing the boundary — the paper's QoS granularity
       — so one bad period alone is not a breach.)
@@ -39,21 +39,9 @@ type violation =
   | Revocation_overdue of { dom : int; deadline : Time.t; finished : Time.t }
   | Guarantee_starved of { dom : int }
 
-val class_of : violation -> string
-(** ["cpu.undersupply"] etc.; the label used on the
-    ["qos.violations"] counter. *)
-
 val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Configuration} *)
-
-val set_tolerance : float -> unit
-(** Fraction of the slice a backlogged client may miss per period
-    before the period counts as underserved (default 0.1). *)
-
-val set_patience : int -> unit
-(** Consecutive underserved periods before a violation is recorded
-    (default 2, minimum 1). *)
 
 (** {2 Observation feeds (called by instrumentation hooks)} *)
 
@@ -92,10 +80,8 @@ val by_class : unit -> (string * int) list
 (** Violation counts per class, only non-zero classes, sorted. *)
 
 val events : unit -> (Time.t * violation) list
-(** Retained violations, oldest first (bounded ring; see
-    {!events_dropped}). *)
-
-val events_dropped : unit -> int
+(** Retained violations, oldest first (a bounded ring: the oldest
+    are dropped first). *)
 
 type summary = {
   audited_boundaries : int;  (** period boundaries examined *)
@@ -107,5 +93,4 @@ type summary = {
 val summarize : unit -> summary
 
 val reset : unit -> unit
-(** Forget violations, streaks and registered contracts; keeps
-    tolerance/patience settings. *)
+(** Forget violations, streaks and registered contracts. *)

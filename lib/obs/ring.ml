@@ -17,7 +17,6 @@ let record t time v =
   t.next <- (t.next + 1) mod t.cap
 
 let length t = t.len
-let capacity t = t.cap
 let dropped t = t.dropped
 let total t = t.len + t.dropped
 

@@ -17,8 +17,6 @@ val record : 'a t -> Engine.Time.t -> 'a -> unit
 val length : 'a t -> int
 (** Records currently held (at most [capacity]). *)
 
-val capacity : 'a t -> int
-
 val dropped : 'a t -> int
 (** Records evicted to make room since creation / the last [clear]. *)
 
@@ -26,9 +24,6 @@ val total : 'a t -> int
 (** All records ever written: [length + dropped]. *)
 
 val to_list : 'a t -> (Engine.Time.t * 'a) list
-(** Oldest first. *)
-
-val iter : (Engine.Time.t -> 'a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 
 val clear : 'a t -> unit

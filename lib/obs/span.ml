@@ -19,7 +19,7 @@ type record = {
 }
 
 let next_id = ref 0
-let buffer : record Ring.t ref = ref (Ring.create ~capacity:65536 ())
+let buffer : record Ring.t = Ring.create ~capacity:65536 ()
 
 let start ~now ?(label = "") ?parent name =
   let id = !next_id in
@@ -30,19 +30,12 @@ let start ~now ?(label = "") ?parent name =
 let finish ~now t =
   if not t.closed then begin
     t.closed <- true;
-    Ring.record !buffer now
+    Ring.record buffer now
       { id = t.sid_; name = t.sname; label = t.slabel; parent = t.sparent;
         t0 = t.st0; t1 = now }
   end
 
-let id t = t.sid_
-
-let finished () = List.map snd (Ring.to_list !buffer)
-
-let count () = Ring.length !buffer
-let dropped () = Ring.dropped !buffer
-
-let set_capacity capacity = buffer := Ring.create ~capacity ()
+let finished () = List.map snd (Ring.to_list buffer)
 
 let to_csv () =
   let b = Buffer.create 4096 in
@@ -58,5 +51,5 @@ let to_csv () =
   Buffer.contents b
 
 let reset () =
-  Ring.clear !buffer;
+  Ring.clear buffer;
   next_id := 0

@@ -26,16 +26,8 @@ val finish : now:Engine.Time.t -> t -> unit
 (** Close the span and commit it to the buffer; idempotent (later
     calls are ignored). *)
 
-val id : t -> int
-
 val finished : unit -> record list
 (** Retained finished spans, oldest first. *)
-
-val count : unit -> int
-val dropped : unit -> int
-
-val set_capacity : int -> unit
-(** Resize the buffer; clears retained spans. *)
 
 val to_csv : unit -> string
 (** [id,parent,name,label,start_ns,end_ns,duration_ns] rows, oldest

@@ -3,13 +3,3 @@ type t =
   | Random
   | Willneed of { page : int; npages : int }
   | Dontneed of { page : int; npages : int }
-
-let pp ppf = function
-  | Sequential -> Format.pp_print_string ppf "sequential"
-  | Random -> Format.pp_print_string ppf "random"
-  | Willneed { page; npages } ->
-    Format.fprintf ppf "willneed[%d..%d]" page (page + npages - 1)
-  | Dontneed { page; npages } ->
-    Format.fprintf ppf "dontneed[%d..%d]" page (page + npages - 1)
-
-let to_string t = Format.asprintf "%a" pp t

@@ -19,6 +19,3 @@ type t =
   | Dontneed of { page : int; npages : int }
       (** The range will not be needed again soon: the driver may evict
           it (cleaning dirty pages first) and reuse the frames. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -39,6 +39,3 @@ val plan : t -> page:int -> int list
 (** Pages worth reading ahead after a demand fault on [page], nearest
     first. May contain out-of-range or non-swapped pages — the driver
     filters. *)
-
-val default_window : int
-(** Window used when {!Advice.Sequential} arrives in [Off] mode. *)

@@ -38,8 +38,6 @@ let name t =
   in
   if t.wb_batch > 1 then Printf.sprintf "%s+wb%d" base t.wb_batch else base
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 (* --- Hook points ---
 
    Base names resolve through [replacement_axis], '+'-separated
@@ -60,19 +58,19 @@ let modifier_axis : modifier Registry.axis =
 (* A single optional argument: positional ([wsclock:32]), [k=v], or —
    via the registry's numeric-suffix fallback — glued on ([ra8]). *)
 let one_arg atom ~key =
-  match atom.Registry.Spec.args with
+  match atom.Registry.Syntax.args with
   | [ a ] -> Ok (Some a)
   | [] ->
-    (match Registry.Spec.param atom key with
+    (match Registry.Syntax.param atom key with
     | Some _ as v -> Ok v
     | None ->
-      if atom.Registry.Spec.params = [] then Ok None
-      else Error (Printf.sprintf "unknown parameter in %S" atom.Registry.Spec.raw))
-  | _ -> Error (Printf.sprintf "too many arguments in %S" atom.Registry.Spec.raw)
+      if atom.Registry.Syntax.params = [] then Ok None
+      else Error (Printf.sprintf "unknown parameter in %S" atom.Registry.Syntax.raw))
+  | _ -> Error (Printf.sprintf "too many arguments in %S" atom.Registry.Syntax.raw)
 
 let no_args atom v =
-  if atom.Registry.Spec.args = [] && atom.Registry.Spec.params = [] then Ok v
-  else Error (Printf.sprintf "%s takes no parameter" atom.Registry.Spec.head)
+  if atom.Registry.Syntax.args = [] && atom.Registry.Syntax.params = [] then Ok v
+  else Error (Printf.sprintf "%s takes no parameter" atom.Registry.Syntax.head)
 
 let () =
   let reg name doc ?params ?default parse =
@@ -115,11 +113,11 @@ let () =
       (fun a ->
         match one_arg a ~key with
         | Error _ as e -> e
-        | Ok None -> Error (Printf.sprintf "bad modifier %S" a.Registry.Spec.raw)
+        | Ok None -> Error (Printf.sprintf "bad modifier %S" a.Registry.Syntax.raw)
         | Ok (Some v) ->
           (match int_of_string_opt v with
           | Some v when v > 0 -> Ok (apply v)
-          | _ -> Error (Printf.sprintf "bad modifier %S" a.Registry.Spec.raw)))
+          | _ -> Error (Printf.sprintf "bad modifier %S" a.Registry.Syntax.raw)))
   in
   reg "ra" "stream read-ahead, window N (e.g. fifo+ra8)" ~key:"window"
     (fun w t -> Ok { t with prefetch = Prefetch.Stream w });
@@ -128,8 +126,8 @@ let () =
   reg "wb" "write-behind, batch N frames (e.g. lru+wb16)" ~key:"batch"
     (fun b t -> Ok { t with wb_batch = b })
 
-let resolve_parsed (spec : Registry.Spec.t) =
-  match Registry.resolve_atom replacement_axis spec.Registry.Spec.base with
+let resolve_parsed (spec : Registry.Syntax.t) =
+  match Registry.resolve_atom replacement_axis spec.Registry.Syntax.base with
   | Error _ as e -> e
   | Ok replacement ->
     List.fold_left
@@ -144,13 +142,13 @@ let resolve_parsed (spec : Registry.Spec.t) =
                 Error
                   (Registry.Malformed_spec
                      { axis = Registry.axis_name modifier_axis;
-                       spec = m.Registry.Spec.raw;
+                       spec = m.Registry.Syntax.raw;
                        reason }))))
       (Ok { default with replacement })
-      spec.Registry.Spec.mods
+      spec.Registry.Syntax.mods
 
 let resolve s =
-  match Registry.Spec.of_string s with
+  match Registry.Syntax.of_string s with
   | Error reason ->
     Error
       (Registry.Malformed_spec

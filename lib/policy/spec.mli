@@ -15,7 +15,7 @@
 
     Since the extension-registry redesign the textual form resolves
     through {!Registry}: base names through {!replacement_axis},
-    modifiers through {!modifier_axis}. The built-ins above are
+    modifiers through the [policy-modifier] axis. The built-ins above are
     ordinary registrations, and a new policy registers itself the same
     way — no edit to this module:
 
@@ -60,18 +60,11 @@ val default : t
 val replacement_axis : replacement Registry.axis
 (** Hook point for base policy names ([fifo], [clock], ...). *)
 
-val modifier_axis : modifier Registry.axis
-(** Hook point for ['+']-separated modifiers ([ra], [ad], [wb]). *)
-
 val name : t -> string
 (** Canonical textual form (parsable by {!of_string}). *)
 
-val resolve : string -> (t, Registry.error) result
-(** Parse and resolve through the registry, with typed errors — the
-    CLI path ({!Registry.error_message} adds a did-you-mean hint). *)
-
 val of_string : string -> (t, string) result
-(** Thin wrapper over {!resolve} that renders errors as strings;
+(** Parse and resolve through the registry, rendering errors as strings;
     accepts every pre-registry spec string byte-for-byte (golden
     test in [test/test_registry.ml]). *)
 
@@ -88,5 +81,3 @@ val with_readahead : t -> int -> t
     its own. Raises [Invalid_argument] when [n > 0] but the spec
     already configures read-ahead ([+raN]/[+adN]) — the two knobs
     would silently shadow each other otherwise. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ let create ?(max_batch = 1) ~write () =
   { batch = max_batch; write; parked = []; nflushes = 0 }
 
 let enabled t = t.batch > 1
-let max_batch t = t.batch
 let pending t = List.length t.parked
 let full t = pending t >= t.batch
 let member t ~page = List.exists (fun e -> e.page = page) t.parked

@@ -31,7 +31,6 @@ val create : ?max_batch:int -> write:(blok:int -> nbloks:int -> unit) -> unit ->
     driver writes through synchronously, as the seed did. *)
 
 val enabled : t -> bool
-val max_batch : t -> int
 
 val pending : t -> int
 (** Entries (= pinned frames) currently parked. *)

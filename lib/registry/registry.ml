@@ -1,4 +1,4 @@
-module Spec = struct
+module Syntax = struct
   type atom = {
     head : string;
     args : string list;
@@ -60,8 +60,6 @@ module Spec = struct
     let i = start n in
     if i = 0 || i = n then None
     else Some (String.sub head 0 i, String.sub head i (n - i))
-
-  let arg a = match a.args with [] -> None | x :: _ -> Some x
 
   let param a k =
     List.fold_left (fun acc (k', v) -> if k' = k then Some v else acc) None
@@ -130,8 +128,6 @@ let error_message = function
   | Malformed_spec { axis; spec; reason } ->
     Printf.sprintf "malformed %s spec %S: %s" axis spec reason
 
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
-
 type param_kind =
   | Flag
   | Int of int
@@ -152,11 +148,10 @@ let manifest ?(params = []) ?default ~name ~doc () =
   { m_name = String.lowercase_ascii name; m_doc = doc; m_params = params;
     m_default = default }
 
-type 'a entry = { manifest : manifest; parse : Spec.atom -> ('a, string) result }
+type 'a entry = { manifest : manifest; parse : Syntax.atom -> ('a, string) result }
 
 type 'a axis = {
   ax_name : string;
-  ax_doc : string;
   entries : (string, 'a entry) Hashtbl.t;
 }
 
@@ -173,7 +168,7 @@ let manifests_of entries =
   |> List.map (fun n -> (Hashtbl.find entries n).manifest)
 
 let axis ~name ~doc =
-  let t = { ax_name = name; ax_doc = doc; entries = Hashtbl.create 8 } in
+  let t = { ax_name = name; entries = Hashtbl.create 8 } in
   all_axes := !all_axes @ [ (name, doc, fun () -> manifests_of t.entries) ];
   t
 
@@ -203,29 +198,29 @@ let find_manifest t name =
 
 let manifests t = manifests_of t.entries
 
-let resolve_atom t (atom : Spec.atom) =
-  let run (entry : _ entry) (atom : Spec.atom) =
+let resolve_atom t (atom : Syntax.atom) =
+  let run (entry : _ entry) (atom : Syntax.atom) =
     match entry.parse atom with
     | Ok _ as ok -> ok
     | Error reason ->
       Error
-        (Malformed_spec { axis = t.ax_name; spec = atom.Spec.raw; reason })
+        (Malformed_spec { axis = t.ax_name; spec = atom.Syntax.raw; reason })
   in
-  match Hashtbl.find_opt t.entries atom.Spec.head with
+  match Hashtbl.find_opt t.entries atom.Syntax.head with
   | Some entry -> run entry atom
   | None ->
     (* "ra8" resolves as "ra" with "8" as its first bare argument. *)
-    (match Spec.split_suffix atom.Spec.head with
+    (match Syntax.split_suffix atom.Syntax.head with
     | Some (stem, digits) when Hashtbl.mem t.entries stem ->
       run (Hashtbl.find t.entries stem)
-        { atom with Spec.head = stem; args = digits :: atom.Spec.args }
+        { atom with Syntax.head = stem; args = digits :: atom.Syntax.args }
     | _ ->
       Error
         (Unknown_extension
-          { axis = t.ax_name; name = atom.Spec.head; known = names t }))
+          { axis = t.ax_name; name = atom.Syntax.head; known = names t }))
 
 let resolve t s =
-  match Spec.atom_of_string s with
+  match Syntax.atom_of_string s with
   | Error reason ->
     Error (Malformed_spec { axis = t.ax_name; spec = s; reason })
   | Ok atom -> resolve_atom t atom

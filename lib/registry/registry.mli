@@ -6,11 +6,11 @@
 
     A {e hook point} is an {!type:axis}: a typed table the owning
     subsystem creates once ([Policy.Spec.replacement_axis],
-    [Tier.Backing.axis], [Inject.site_axis],
+    [Tier.Backing.axis],
     [Workload.Paging_app.pattern_axis], [Experiments.Catalog.axis]).
     A module that wants to extend the simulator {!register}s a
     {!manifest} (name, doc line, parameter descriptors, default
-    config) together with a parser that turns a {!Spec.atom} into the
+    config) together with a parser that turns a {!Syntax.atom} into the
     axis's value type. Core code then {!resolve}s spec strings like
     ["fifo+ra8"] or ["stall:site=victim.swap,rate=0.02"] through the
     axis — so adding a policy, a workload or an experiment is a
@@ -41,7 +41,7 @@
     alphabetic stem with the digits as its first bare argument —
     that is how the legacy ["+ra8"]/["+wb8"] modifiers parse without
     special cases. *)
-module Spec : sig
+module Syntax : sig
   type atom = {
     head : string;  (** lowercased extension name as written *)
     args : string list;  (** bare (non [k=v]) segments, in order *)
@@ -63,9 +63,6 @@ module Spec : sig
   (** [split_suffix "ra8"] is [Some ("ra", "8")]: the alphabetic stem
       and the trailing decimal digits; [None] when the head has no
       such split. *)
-
-  val arg : atom -> string option
-  (** First bare argument, if any ([Some "32"] for ["wsclock:32"]). *)
 
   val param : atom -> string -> string option
   (** Last [k=v] value for the key, if any. *)
@@ -91,8 +88,6 @@ val error_message : error -> string
 val suggest : known:string list -> string -> string list
 (** Close matches (edit distance <= 2, or prefix), best first — the
     did-you-mean candidates. *)
-
-val pp_error : Format.formatter -> error -> unit
 
 (** {1 Manifests} *)
 
@@ -130,7 +125,7 @@ val axis : name:string -> doc:string -> 'a axis
 val axis_name : _ axis -> string
 
 val register :
-  'a axis -> manifest -> (Spec.atom -> ('a, string) result) ->
+  'a axis -> manifest -> (Syntax.atom -> ('a, string) result) ->
   (unit, error) result
 (** Add an extension. The parser receives the resolved atom (with a
     numeric-suffix head already split into [stem]/[args]) and builds
@@ -138,12 +133,12 @@ val register :
     [`Malformed_spec]. *)
 
 val register_exn :
-  'a axis -> manifest -> (Spec.atom -> ('a, string) result) -> unit
+  'a axis -> manifest -> (Syntax.atom -> ('a, string) result) -> unit
 (** Like {!register}; raises [Invalid_argument] on a duplicate name —
     for built-in registrations at module initialisation, where a
     duplicate is a programming error. *)
 
-val resolve_atom : 'a axis -> Spec.atom -> ('a, error) result
+val resolve_atom : 'a axis -> Syntax.atom -> ('a, error) result
 (** Look the atom's head up (falling back to the numeric-suffix
     split) and run the extension's parser. *)
 

@@ -55,9 +55,7 @@ let create sim =
   Edf.set_boundary_hook t.edf (audit_boundary t);
   t
 
-let name (c : client) = c.edf.Edf.cname
 let used (c : client) = c.edf.Edf.used_total
-let edf_client (c : client) = c.edf
 
 let has_pending (c : client) = not (Queue.is_empty c.pending)
 

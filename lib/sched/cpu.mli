@@ -34,8 +34,3 @@ val remove : t -> client -> unit
 
 val used : client -> Time.span
 (** Lifetime CPU time consumed by the client. *)
-
-val name : client -> string
-
-val edf_client : client -> Edf.client
-(** Accounting view, for tests and reporting. *)

@@ -202,7 +202,3 @@ let earliest ?(only = fun _ -> true) t = scan t Any only 0
 
 let next_deadline t =
   if t.live = 0 then None else Some (client_at t 0).deadline
-
-let pp_client ppf c =
-  Format.fprintf ppf "%s(p=%a,s=%a,dl=%a,rem=%a)" c.cname Time.pp_span
-    c.period Time.pp_span c.slice Time.pp c.deadline Time.pp_span c.remaining

@@ -97,5 +97,3 @@ val earliest : ?only:(client -> bool) -> t -> client option
 
 val next_deadline : t -> Time.t option
 (** Earliest pending period boundary over all clients, O(1). *)
-
-val pp_client : Format.formatter -> client -> unit

@@ -17,17 +17,12 @@ type t = {
   versions : (int, int) Hashtbl.t;
   compress_us : Time.span;
   decompress_us : Time.span;
-  mutable hits : int;
-  mutable misses : int;
-  mutable below_writes : int;
-  mutable dropped_on_error : int;
 }
 
 let create ?(label = "zram") ?(compress_us = Time.us 3)
     ?(decompress_us = Time.us 2) ~zpool ~below () =
   { zpool; below; label; versions = Hashtbl.create 256; compress_us;
-    decompress_us; hits = 0; misses = 0; below_writes = 0;
-    dropped_on_error = 0 }
+    decompress_us }
 
 let key_of t slot = t.label ^ ":" ^ string_of_int slot
 
@@ -54,15 +49,12 @@ let put_slot t slot =
 
 let drop_range t ~page_index ~npages =
   for s = page_index to page_index + npages - 1 do
-    if Zpool.mem t.zpool ~key:(key_of t s) then begin
-      Zpool.drop t.zpool ~key:(key_of t s);
-      t.dropped_on_error <- t.dropped_on_error + 1
-    end
+    if Zpool.mem t.zpool ~key:(key_of t s) then
+      Zpool.drop t.zpool ~key:(key_of t s)
   done
 
 let write_page t ~page_index =
   put_slot t page_index;
-  t.below_writes <- t.below_writes + 1;
   match t.below.Tier.Backing.write_page ~page_index with
   | Ok () -> Ok ()
   | Error e ->
@@ -73,7 +65,6 @@ let write_pages t ~page_index ~npages =
   for s = page_index to page_index + npages - 1 do
     put_slot t s
   done;
-  t.below_writes <- t.below_writes + 1;
   match t.below.Tier.Backing.write_pages ~page_index ~npages with
   | Ok () -> Ok ()
   | Error e ->
@@ -90,7 +81,6 @@ let write_pages_commit t ~page_index ~npages ~pages ~retire =
       if Zpool.mem t.zpool ~key:(key_of t old_slot) then
         Zpool.drop t.zpool ~key:(key_of t old_slot))
     retire;
-  t.below_writes <- t.below_writes + 1;
   match
     t.below.Tier.Backing.write_pages_commit ~page_index ~npages ~pages ~retire
   with
@@ -140,13 +130,11 @@ let read_pages t ~page_index ~npages =
       (* exercise the exact-inverse pair so a broken codec faults loud *)
       if String.length data <> Zpool.page_bytes then
         invalid_arg "Sd_zram: decompressed page has wrong size";
-      t.hits <- t.hits + 1;
       metric t "hit";
       Proc.sleep t.decompress_us;
       if !Obs.enabled then
         Obs.Metrics.observe "zram.hit_us" (Time.to_us t.decompress_us)
     | None ->
-      t.misses <- t.misses + 1;
       metric t "miss";
       if !run_len = 0 then begin
         run_start := !s;
@@ -163,19 +151,6 @@ let read_pages t ~page_index ~npages =
     else Error (`Lost_pages (List.sort_uniq compare !lost))
 
 (* ------------------------------------------------------------------ *)
-
-type stats = {
-  s_hits : int;
-  s_misses : int;
-  s_below_writes : int;
-  s_dropped_on_error : int;
-}
-
-let stats t =
-  { s_hits = t.hits; s_misses = t.misses; s_below_writes = t.below_writes;
-    s_dropped_on_error = t.dropped_on_error }
-
-let zpool t = t.zpool
 
 let backing t =
   { Tier.Backing.label = t.label;
@@ -208,7 +183,7 @@ let () =
           (Share.Sd_zram over a shared Zpool)"
        ())
     (fun a ->
-      if a.Registry.Spec.args <> [] || a.Registry.Spec.params <> [] then
+      if a.Registry.Syntax.args <> [] || a.Registry.Syntax.params <> [] then
         Error "zram takes no parameter (pool and label come from the ctx)"
       else
         Ok

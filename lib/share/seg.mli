@@ -32,10 +32,6 @@ val create :
 (** [fill] (default 50us) is the per-page materialization delay —
     fetching the segment's contents from wherever "text" lives. *)
 
-val name : t -> string
-val npages : t -> int
-val attached : t -> int
-
 val resident : t -> int
 (** Pages with a materialized frame right now — the segment's whole
     physical footprint, however many domains map it. *)
@@ -51,9 +47,4 @@ val attach : t -> System.domain -> (attachment * Stretch.t, System.error) result
     write), bind the segment driver and register the kill-hook
     detach. *)
 
-val detach : attachment -> unit
-(** Drop this domain's shared references (idempotent; automatic on
-    domain death). *)
-
-val hits : attachment -> int
 val mapped : attachment -> int

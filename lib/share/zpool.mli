@@ -15,8 +15,8 @@
       so all zpool contents are clean and shedding never loses data;
     - zpool frames are [Nailed] in the RamTab, so transparent
       revocation cannot silently steal compressed contents — under
-      revocation {!expose_for_revocation} sheds whole frames
-      synchronously and always meets the deadline;
+      revocation the pool's handler sheds whole frames synchronously
+      and always meets the deadline;
     - an {!Inject.zpool_pressure} plan (armed before {!create})
       spawns a gremlin that periodically shrinks the budget,
       forcing sheds, then restores it. *)
@@ -47,7 +47,7 @@ val create :
   ramtab:Ramtab.t -> budget:int -> unit -> t
 (** A pool drawing at most [budget] frames through [client] (admit it
     with guarantee 0 — the pool is meant to be revocable). Installs
-    {!expose_for_revocation} as the client's revocation handler and,
+    the frame-shedding revocation handler on the client and,
     when an {!Inject.zpool_pressure} plan is armed, spawns the
     budget-shrink gremlin on [sim]. *)
 
@@ -69,18 +69,9 @@ val set_budget : t -> int -> int
 (** Change the frame budget, shedding oldest-first down to it; returns
     the number of frames shed. *)
 
-val expose_for_revocation : t -> k:int -> unit
-(** Revocation handler body: drop the oldest [k] frames' entries and
-    leave the frames [Unused] at the top of the client's stack for the
-    allocator's verify pass. Call {!Core.Frames.revocation_ready}
-    after. *)
-
 (** {2 Introspection} *)
 
 val frames_held : t -> int
-val budget : t -> int
-val entries : t -> int
-val bytes_used : t -> int
 
 type stats = {
   z_stored : int;

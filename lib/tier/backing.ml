@@ -53,7 +53,7 @@ let () =
        ~doc:"the swapfile's own data path — the seed semantics, bit-for-bit"
        ())
     (fun a ->
-      if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
+      if a.Registry.Syntax.args = [] && a.Registry.Syntax.params = [] then
         Ok (fun _ctx swap -> Ok (of_sfs swap))
       else Error "sfs takes no parameter")
 

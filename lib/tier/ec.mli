@@ -1,18 +1,25 @@
 (** A deterministic systematic Reed–Solomon coder over GF(256).
 
-    The redundancy engine behind {!Fleet}'s [Erasure] mode: a page is
-    split into [k] equal data shards and extended with [m] parity
-    shards, and {e any} [k] of the [k + m] shards reconstruct the page
-    byte-for-byte. Storage cost is [(k + m) / k] of the page — e.g.
-    1.5x for (4, 2) against 2.0x for two full replicas — while
-    tolerating the loss of any [m] shards.
+    The evidence for {!Fleet}'s [Erasure] mode, not part of its data
+    path: a page is split into [k] equal data shards and extended with
+    [m] parity shards, and {e any} [k] of the [k + m] shards
+    reconstruct the page byte-for-byte. Fleet's shards carry no bytes
+    (it books which node holds which shard, and a reconstruction is
+    that bookkeeping plus the shard transfers it costs), so the
+    simulation never calls {!encode} or {!decode}: Fleet takes only
+    {!make}, {!k} and {!shard_length} from here. The coder is kept
+    because its roundtrip qchecks in test/test_erasure.ml are what
+    show that the "any k of k + m" rule Fleet books by holds, and the
+    perfbench micro-benchmark prices a real encode and decode.
+    Storage cost is [(k + m) / k] of the page — e.g. 1.5x for (4, 2)
+    against 2.0x for two full replicas — while tolerating the loss of
+    any [m] shards.
 
     Everything here is a pure function of its arguments: the code is
     built from a Vandermonde matrix brought to systematic form (the
     first [k] shards {e are} the page, split in order), so the same
-    [(k, m)] always yields the same parity bytes and two same-seed
-    simulation runs encode identically. No randomness, no state, no
-    I/O — the module is qcheck-able in isolation.
+    [(k, m)] always yields the same parity bytes. No randomness, no
+    state, no I/O — the module is qcheck-able in isolation.
 
     Losing more than [m] shards is detected, never silently papered
     over: {!decode} with fewer than [k] distinct valid shards returns

@@ -42,6 +42,9 @@ type t = {
      Recorded only when enough entries were acked to recover the
      page. Repair mutates entries in place as it migrates shards. *)
   pages : (string * int, int array) Hashtbl.t;
+  (* page heat: remote faults per [(owner, slot)], fed by every fetch
+     and read by repair to rebuild the hottest pages first *)
+  heat : (string * int, int ref) Hashtbl.t;
   mutable s_stores : int;
   mutable s_acks : int;
   mutable s_replica_skips : int;
@@ -558,15 +561,14 @@ let repair_round t =
   poll_faults t;
   probe_due t;
   let budget = ref t.repair_budget in
-  (* Demand-driven order: hottest pages first — the per-page fault
-     counts {!Obs.Heat} accumulates — with the (owner, slot) key as a
-     deterministic tie-break (and the whole order when observability
-     is off, matching the old book-scan behaviour). Each page's heat
-     is read once, before the sort. *)
+  (* Demand-driven order: hottest pages first, with the (owner, slot)
+     key as a deterministic tie-break. Each page's heat is read once,
+     before the sort. *)
   let book =
     Hashtbl.fold
-      (fun ((owner, slot) as k) v acc ->
-        (Obs.Heat.count ~owner ~slot, k, v) :: acc)
+      (fun k v acc ->
+        let h = match Hashtbl.find_opt t.heat k with Some r -> !r | None -> 0 in
+        (h, k, v) :: acc)
       t.pages []
     |> List.sort (fun (ha, ka, _) (hb, kb, _) ->
            if ha <> hb then compare hb ha else compare ka kb)
@@ -697,6 +699,7 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       retx_timeout;
       nodes = Array.of_list all;
       pages = Hashtbl.create 256;
+      heat = Hashtbl.create 256;
       s_stores = 0;
       s_acks = 0;
       s_replica_skips = 0;
@@ -934,7 +937,9 @@ let fetch_erasure v s reps c =
    losses as disk fallbacks, whether or not the disk holds a copy. *)
 let fetch v s ~on_disk:_ =
   let t = v.fl in
-  if !Obs.enabled then Obs.Heat.note ~owner:v.owner ~slot:s;
+  (match Hashtbl.find_opt t.heat (v.owner, s) with
+  | Some r -> incr r
+  | None -> Hashtbl.replace t.heat (v.owner, s) (ref 1));
   poll_faults t;
   let reps = Hashtbl.find t.pages (v.owner, s) in
   match
@@ -1092,10 +1097,10 @@ let () =
              p_kind = Registry.String (Some "fleet") } ]
        ~default:"fleet:cache-pages=32" ())
     (fun a ->
-      match Registry.Spec.int_param a "cache-pages" ~default:32 with
+      match Registry.Syntax.int_param a "cache-pages" ~default:32 with
       | Error e -> Error e
       | Ok cache_pages ->
-          let label = Registry.Spec.string_param a "label" ~default:"fleet" in
+          let label = Registry.Syntax.string_param a "label" ~default:"fleet" in
           Ok
             (fun ctx swap ->
               match

@@ -41,9 +41,9 @@
 
     {b Repair.} The same background process restores redundancy: each
     [repair_period] it walks the placement book {e hottest page
-    first} — ordered by the per-page fault counts {!Obs.Heat}
-    accumulates, so the pages domains are actually faulting on regain
-    full redundancy before cold ones — and rebuilds up to
+    first} — ordered by the fleet's own per-page fault counts, so
+    the pages domains are actually faulting on regain full redundancy
+    before cold ones — and rebuilds up to
     [repair_budget] entries per round over the fleet's own repair
     link clients. A missing replicated copy is refetched from a
     survivor; a missing erasure shard is reconstructed from any [k]

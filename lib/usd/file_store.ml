@@ -56,7 +56,6 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
     journal; jdegraded = false }
 
 let free_blocks t = Extents.free_blocks t.extents
-let journaled t = t.journal <> None
 
 (* Same degradation contract as {!Sfs}: only a crash surfaces; a full
    or sick journal latches degraded and the store keeps working
@@ -188,10 +187,6 @@ let lba_of_page f page_index =
   if page_index < 0 || page_index >= file_pages f then
     invalid_arg "File_store: page index out of file";
   f.ext.Extents.start + (page_index * f.page_blocks)
-
-let read_page_async t f ~client ~page_index =
-  Usd.submit t.u client Usd.Read ~lba:(lba_of_page f page_index)
-    ~nblocks:f.page_blocks
 
 (* File-store clients (the Fig. 7/8 streamers) have no recovery story
    of their own: retry transient errors a few times, give up loudly on

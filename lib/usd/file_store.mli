@@ -7,8 +7,6 @@
     then access through {e its own} USD channel. All data-path QoS
     therefore belongs to the client doing the I/O, not to the store. *)
 
-open Engine
-
 type t
 
 type file
@@ -33,7 +31,6 @@ val create_file : t -> name:string -> bytes:int -> (file, string) result
 val find : t -> string -> file option
 val delete : t -> file -> unit
 val free_blocks : t -> int
-val journaled : t -> bool
 
 type remount_stats = {
   rm_replayed : int;
@@ -70,7 +67,3 @@ val read_page :
 val write_page :
   t -> file -> client:Usd.client -> page_index:int ->
   (unit, [ `Media of Usd.media | `Retired ]) result
-
-val read_page_async :
-  t -> file -> client:Usd.client -> page_index:int ->
-  (Usd.status Sync.Ivar.t, [ `Retired ]) result

@@ -12,8 +12,6 @@ let create ~depth =
   { depth; items = Queue.create (); senders = Queue.create ();
     receivers = Queue.create () }
 
-let depth t = t.depth
-let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
 
 let enqueue t v =
@@ -45,5 +43,3 @@ let recv t =
   match try_recv t with
   | Some v -> v
   | None -> Proc.suspend (fun wake -> Queue.add wake t.receivers)
-
-let peek t = Queue.peek_opt t.items

@@ -47,7 +47,6 @@ let create ~u ~client ~first ~nblocks =
 
 let first_block t = t.first
 let nblocks t = t.nblocks
-let head t = t.head
 let appended t = t.appended
 let full t = t.full
 
@@ -93,12 +92,6 @@ let body_of_record = function
 type parse_error =
   | Bad_pair of string  (** token is not a "page:slot" pair *)
   | Missing_pairs  (** the record body ended short of its pair count *)
-
-let pp_parse_error ppf = function
-  | Bad_pair _ -> Format.pp_print_string ppf "pair"
-  | Missing_pairs -> Format.pp_print_string ppf "pairs"
-
-let parse_error_message e = Format.asprintf "%a" pp_parse_error e
 
 let pair_of_token tok =
   match String.index_opt tok ':' with
@@ -369,6 +362,3 @@ let replay t =
   Fun.protect
     ~finally:(fun () -> Sync.Semaphore.release t.lock)
     (fun () -> replay_locked t)
-
-let pp_record ppf r =
-  Format.pp_print_string ppf (body_of_record r)

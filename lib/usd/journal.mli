@@ -42,17 +42,6 @@ type record =
           (** (stretch page, old slot) superseded by this commit *)
     }
 
-type parse_error =
-  | Bad_pair of string
-      (** a token of a Commit body is not a ["page:slot"] pair *)
-  | Missing_pairs
-      (** the body ended short of its declared pair count *)
-
-val pp_parse_error : Format.formatter -> parse_error -> unit
-(** Renders the legacy failwith strings (["pair"] / ["pairs"]). *)
-
-val parse_error_message : parse_error -> string
-
 type t
 
 val create : u:Usd.t -> client:Usd.client -> first:int -> nblocks:int -> t
@@ -90,10 +79,6 @@ val replay : t -> record list * replay_stats
 
 val first_block : t -> int
 val nblocks : t -> int
-val head : t -> int
-(** Next free blok offset within the region. *)
 
 val appended : t -> int
 val full : t -> bool
-
-val pp_record : Format.formatter -> record -> unit

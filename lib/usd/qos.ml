@@ -13,9 +13,3 @@ let make ~period ~slice ?(extra = false) ?(laxity = Time.ms 10) () =
   if slice > period then invalid_arg "Qos.make: slice exceeds period";
   if laxity < 0 then invalid_arg "Qos.make: negative laxity";
   { period; slice; extra; laxity }
-
-let share t = float_of_int t.slice /. float_of_int t.period
-
-let pp ppf t =
-  Format.fprintf ppf "(p=%a, s=%a, x=%b, l=%a)" Time.pp_span t.period
-    Time.pp_span t.slice t.extra Time.pp_span t.laxity

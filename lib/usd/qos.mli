@@ -22,8 +22,3 @@ val make :
 (** Defaults: [extra = false], [laxity = 10ms] (the value used in the
     paper's experiments). Raises [Invalid_argument] on non-positive
     period/slice or slice > period. *)
-
-val share : t -> float
-(** s/p. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,7 @@ open Disk
 type swapfile = {
   fs : t;
   sname : string;
-  mutable ext : Extents.extent;
+  ext : Extents.extent;
   (* [None] = detached: the owning domain died and its USD client was
      retired, but the extent and recovered metadata stay registered so
      a restarted domain can reattach by name. *)
@@ -83,8 +83,6 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
     extents; journal; jdegraded = false; swaps = Hashtbl.create 7 }
 
 let free_blocks t = Extents.free_blocks t.extents
-let journaled t = t.journal <> None
-let journal_degraded t = t.jdegraded
 
 (* Append an intent record, degrading (never failing the operation) on
    a full or sick journal. Only a torn append — a crash point firing —
@@ -210,11 +208,6 @@ let swap_journaled sf = sf.fs.journal <> None
    detached swapfile has no USD client until reattached. The printer
    renders the legacy message. *)
 type client_error = Detached of { name : string }
-
-let pp_client_error ppf (Detached { name }) =
-  Format.fprintf ppf "Sfs.usd_client: %s is detached" name
-
-let client_error_message e = Format.asprintf "%a" pp_client_error e
 
 let usd_client sf =
   match sf.client with
@@ -468,20 +461,6 @@ let write_pages_commit sf ~page_index ~npages ~pages ~retire =
           pages;
         Ok ()
     end
-
-let read_page_async sf ~page_index =
-  match sf.client with
-  | None -> Error `Retired
-  | Some client ->
-    Usd.submit sf.fs.u client Usd.Read ~lba:(lba_of_page sf page_index)
-      ~nblocks:sf.page_blocks
-
-let write_page_async sf ~page_index =
-  match sf.client with
-  | None -> Error `Retired
-  | Some client ->
-    Usd.submit sf.fs.u client Usd.Write ~lba:(lba_of_page sf page_index)
-      ~nblocks:sf.page_blocks
 
 (* -- remount / recovery ----------------------------------------------- *)
 

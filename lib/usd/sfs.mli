@@ -20,7 +20,6 @@
     {!reattach_swap}) with its committed pages intact. Without a
     journal the behaviour is bit-for-bit the seed semantics. *)
 
-open Engine
 
 type t
 
@@ -81,11 +80,6 @@ val find_swap : t -> string -> swapfile option
 
 val free_blocks : t -> int
 
-val journaled : t -> bool
-val journal_degraded : t -> bool
-(** The journal filled up or failed; operation continues without
-    durability (latched until {!remount}). *)
-
 (** {2 Data path} *)
 
 val extent_blocks : swapfile -> int
@@ -122,14 +116,6 @@ val read_page : swapfile -> page_index:int -> (unit, io_error) result
     process for the transaction's duration (including any retries). *)
 
 val write_page : swapfile -> page_index:int -> (unit, io_error) result
-
-val read_page_async :
-  swapfile -> page_index:int -> (Usd.status Sync.Ivar.t, [ `Retired ]) result
-(** Raw submission — no retry/remap ladder; prefetchers that can shrug
-    off a failed speculative read use these. *)
-
-val write_page_async :
-  swapfile -> page_index:int -> (Usd.status Sync.Ivar.t, [ `Retired ]) result
 
 val read_pages :
   swapfile -> page_index:int -> npages:int -> (unit, io_error) result
@@ -174,12 +160,6 @@ val slot_ok : swapfile -> slot:int -> bool
 
 type client_error = Detached of { name : string }
       (** the swapfile has no USD client until reattached *)
-
-val pp_client_error : Format.formatter -> client_error -> unit
-(** Renders the legacy message
-    (["Sfs.usd_client: NAME is detached"]). *)
-
-val client_error_message : client_error -> string
 
 val usd_client : swapfile -> (Usd.client, client_error) result
 (** [Detached] on a detached swapfile (the old API raised

@@ -35,7 +35,6 @@ type client = {
                            the next allocation *)
   mutable live : bool;
   mutable txns : int;
-  mutable bytes : int;
   mutable lax_used : Time.span;
   (* Instant the channel last went non-empty; None while empty. Used
      by the QoS auditor's backlogged-for-a-whole-period test. *)
@@ -86,9 +85,7 @@ let create ?(rollover = true) ?(laxity_enabled = true) sim dm =
   t
 
 let client_name (c : client) = c.edf.Edf.cname
-let qos (c : client) = c.cqos
 let txn_count (c : client) = c.txns
-let bytes_moved (c : client) = c.bytes
 let used_time (c : client) = c.edf.Edf.used_total
 let lax_time (c : client) = c.lax_used
 
@@ -139,7 +136,6 @@ let execute_txn t (c : client) ~slack =
   Proc.sleep dur;
   if slack then Edf.charge_slack c.edf dur else Edf.charge c.edf dur;
   c.txns <- c.txns + 1;
-  c.bytes <- c.bytes + (req.nblocks * (Disk_model.params t.dm).Disk_params.block_size);
   c.lax_left <- c.cqos.Qos.laxity;
   let ev =
     match result with
@@ -252,7 +248,7 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
     let c =
       { edf = e; cqos = qos; channel = Io_channel.create ~depth:channel_depth;
         lax_left = qos.Qos.laxity; idled = false; live = true; txns = 0;
-        bytes = 0; lax_used = 0; backlogged_since = None }
+        lax_used = 0; backlogged_since = None }
     in
     if e.Edf.id = Array.length t.members then
       t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);
@@ -317,21 +313,3 @@ let transact_exn t c op ~lba ~nblocks =
   | Error (`Media m) ->
     failwith
       (Printf.sprintf "Usd.transact_exn: media error at lba %d" m.bad_lba)
-
-let pp_op ppf = function
-  | Read -> Format.pp_print_string ppf "R"
-  | Write -> Format.pp_print_string ppf "W"
-
-let pp_event ppf = function
-  | Txn { client; op; lba; nblocks; dur } ->
-    Format.fprintf ppf "txn %s %a lba=%d n=%d dur=%a" client pp_op op lba
-      nblocks Time.pp_span dur
-  | Txn_error { client; op; lba; nblocks; dur; media } ->
-    Format.fprintf ppf "txn-error %s %a lba=%d n=%d dur=%a bad=%d%s" client
-      pp_op op lba nblocks Time.pp_span dur media.bad_lba
-      (if media.persistent then " persistent" else "")
-  | Alloc { client } -> Format.fprintf ppf "alloc %s" client
-  | Lax { client; dur } ->
-    Format.fprintf ppf "lax %s dur=%a" client Time.pp_span dur
-  | Slack { client; op; dur } ->
-    Format.fprintf ppf "slack %s %a dur=%a" client pp_op op Time.pp_span dur

@@ -83,15 +83,10 @@ val transact_exn : t -> client -> op -> lba:int -> nblocks:int -> unit
     any error (unreachable while {!Inject} is disarmed and the client
     is never retired mid-flight). *)
 
-val client_name : client -> string
-val qos : client -> Qos.t
 val txn_count : client -> int
-val bytes_moved : client -> int
 val used_time : client -> Time.span
 val lax_time : client -> Time.span
 
 val trace : t -> event Trace.t
 val disk : t -> Disk_model.t
 val utilisation : t -> float
-
-val pp_event : Format.formatter -> event -> unit

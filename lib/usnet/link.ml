@@ -32,7 +32,6 @@ type client = {
       (* lax allowance spent with nothing to send: off the runnable
          queue until the next periodic allocation *)
   mutable live : bool;
-  mutable packets : int;
   mutable sent_bytes : int;
   mutable lax_used : Time.span;
 }
@@ -61,7 +60,6 @@ let create ?(name = "link") ?(params = Net_params.fast_ethernet)
 let name t = t.lname
 let params t = t.params
 let client_name (c : client) = c.edf.Edf.cname
-let packets_sent (c : client) = c.packets
 let bytes_sent (c : client) = c.sent_bytes
 let used_time (c : client) = c.edf.Edf.used_total
 let lax_time (c : client) = c.lax_used
@@ -100,7 +98,6 @@ let transmit_one t (c : client) ~slack =
   let dur = Net_params.tx_time t.params ~bytes:pkt.bytes in
   Proc.sleep dur;
   if slack then Edf.charge_slack c.edf dur else Edf.charge c.edf dur;
-  c.packets <- c.packets + 1;
   c.sent_bytes <- c.sent_bytes + pkt.bytes;
   (* A completed transmission proves the client was not idling. *)
   c.lax_left <- c.laxity;
@@ -204,7 +201,7 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
       let c =
         { edf = e; ring = Queue.create (); depth = queue_depth;
           senders = Queue.create (); laxity; lax_left = laxity;
-          idled = false; live = true; packets = 0; sent_bytes = 0;
+          idled = false; live = true; sent_bytes = 0;
           lax_used = 0 }
       in
       if e.Edf.id = Array.length t.members then

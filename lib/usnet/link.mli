@@ -76,12 +76,10 @@ val send : t -> client -> bytes:int -> (unit Sync.Ivar.t, [ `Retired ]) result
 val transmit : t -> client -> bytes:int -> (unit, [ `Retired ]) result
 (** [send] then wait. *)
 
-val packets_sent : client -> int
 val bytes_sent : client -> int
 val used_time : client -> Time.span
 val lax_time : client -> Time.span
 (** Lifetime lax (empty-ring) time charged to the client. *)
 
-val client_name : client -> string
 val trace : t -> event Trace.t
 val utilisation : t -> float

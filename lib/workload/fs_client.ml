@@ -1,24 +1,11 @@
 open Engine
 open Core
 
-type t = {
-  bytes : int ref;
-  watcher : Sampler.t;
-  pump : Proc.t;
-  client : Usbs.Usd.client;
-}
+type t = { watcher : Sampler.t }
 
 let page_blocks = 16 (* 8 KB pages of 512-byte blocks *)
 
-let usd_client t = t.client
-
-let bytes_read t = !(t.bytes)
 let sampler t = t.watcher
-let sustained_mbit t = Sampler.sustained t.watcher ()
-
-let stop t =
-  Proc.kill t.pump;
-  Sampler.stop t.watcher
 
 let start sys ~name ~qos ?(depth = 16) ?(sample_period = Time.sec 5) () =
   let u = System.usd sys in
@@ -28,8 +15,8 @@ let start sys ~name ~qos ?(depth = 16) ?(sample_period = Time.sec 5) () =
     let fs_start, fs_len = System.fs_partition sys in
     let bytes = ref 0 in
     let sim = System.sim sys in
-    let pump =
-      Proc.spawn ~name:(name ^ ".pump") sim (fun () ->
+    ignore
+      (Proc.spawn ~name:(name ^ ".pump") sim (fun () ->
           let outstanding = Queue.create () in
           let pos = ref 0 in
           let rec loop () =
@@ -50,10 +37,9 @@ let start sys ~name ~qos ?(depth = 16) ?(sample_period = Time.sec 5) () =
             end;
             loop ()
           in
-          loop ())
-    in
+          loop ()));
     let watcher =
       Sampler.start sim ~name:(name ^ ".watch") ~period:sample_period
         ~bytes:(fun () -> !bytes) ()
     in
-    Ok { bytes; watcher; pump; client }
+    Ok { watcher }

@@ -15,8 +15,4 @@ val start :
   ?sample_period:Time.span -> unit -> (t, string) result
 (** [depth] (default 16) outstanding transactions. *)
 
-val usd_client : t -> Usbs.Usd.client
-val bytes_read : t -> int
 val sampler : t -> Sampler.t
-val sustained_mbit : t -> float
-val stop : t -> unit

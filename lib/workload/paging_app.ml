@@ -22,7 +22,7 @@ let () =
     Registry.register_exn pattern_axis
       (Registry.manifest ~name ~doc ())
       (fun a ->
-        if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then Ok p
+        if a.Registry.Syntax.args = [] && a.Registry.Syntax.params = [] then Ok p
         else Error (Printf.sprintf "%s takes no parameter" name))
   in
   reg "seq" "wrap-around linear scan (the paper's workload)" Sequential;
@@ -68,7 +68,6 @@ let sustained_mbit t =
 
 let paging_info t = Sd_paged.info t.handle
 let policy_name t = Sd_paged.policy_name t.handle
-let advise t adv = Sd_paged.advise t.handle adv
 let swap_extent t = Sd_paged.swap_extent t.handle
 
 let measured_accesses t =

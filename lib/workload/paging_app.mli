@@ -82,7 +82,6 @@ val in_measured_loop : t -> bool
 val loop_started_at : t -> Time.t option
 val paging_info : t -> Sd_paged.info
 val policy_name : t -> string
-val advise : t -> Policy.Advice.t -> unit
 
 val swap_extent : t -> int * int
 (** [(first_lba, nblocks)] of the app's swap extent — what a chaos

@@ -15,9 +15,7 @@ let geometry () =
   checkb "cylinders plausible" true
     (Disk_params.cylinders p > 2000 && Disk_params.cylinders p < 4000);
   check "rotation ~11.1ms (5400rpm)" (Time.of_us_float 11_111.1)
-    p.Disk_params.rotation;
-  checkb "media rate ~12MB/s" true
-    (Disk_params.media_rate p > 10e6 && Disk_params.media_rate p < 14e6)
+    p.Disk_params.rotation
 
 let seek_curve () =
   check "zero distance" 0 (Disk_params.seek_time p 0);

@@ -261,7 +261,8 @@ let ec_repair_rebuild () =
 
 (* Hot-first: with a repair budget of 1 per round, the first round
    after a wipe rebuilds the page the domain has faulted on, not a
-   cold one. *)
+   cold one. The fleet keeps its own heat, so the order holds with
+   observability off. *)
 let ec_hot_first_repair () =
   let sim, fleet, store, swap, triples =
     mk_ec_fleet ~cache_pages:2 ()
@@ -269,8 +270,7 @@ let ec_hot_first_repair () =
   let b = Tier.Fleet.backing store in
   let owner = Usbs.Sfs.swap_name swap in
   let remotes = remotes_of triples in
-  Obs.set_enabled true;
-  Obs.reset ();
+  Obs.set_enabled false;
   ignore
     (Proc.spawn sim (fun () ->
          for slot = 0 to 13 do
@@ -284,7 +284,6 @@ let ec_hot_first_repair () =
            read_exn b 11
          done));
   Sim.run ~until:(Time.sec 60) sim;
-  checkb "heat recorded" true (Obs.Heat.count ~owner ~slot:3 > 0);
   let victim = (Tier.Fleet.placement fleet ~owner ~slot:3).(0) in
   Tier.Remote_node.wipe remotes.(victim);
   (* a second fleet handle with budget 1 would be another object; the

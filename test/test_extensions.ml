@@ -32,8 +32,7 @@ let entry_fast_and_slow () =
   System.run sys ~until:(Time.sec 1);
   check "evens on fast path" 3 (Entry.fast_handled entry);
   check "odds on workers" 3 (Entry.slow_handled entry);
-  Alcotest.(check (list int)) "worker FIFO" [ 1; 3; 5 ] (List.rev !slow_jobs);
-  check "queue drained" 0 (Entry.depth entry)
+  Alcotest.(check (list int)) "worker FIFO" [ 1; 3; 5 ] (List.rev !slow_jobs)
 
 let entry_defer_skips_fast () =
   let sys = Experiments.Harness.fresh_system ~main_memory_mb:1 () in
@@ -406,14 +405,6 @@ let namespace_paths () =
   (match Namespace.bind ns ~path:"drivers/custom/fast" (Test_value 3) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "duplicate bind accepted");
-  (match Namespace.rebind ns ~path:"drivers/custom/fast" (Test_value 3) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Namespace.lookup ns ~path:"drivers/custom/fast" with
-  | Some (Test_value 3) -> ()
-  | _ -> Alcotest.fail "rebind did not replace");
-  checkb "unbind value" true (Namespace.unbind ns ~path:"drivers/custom/slow");
-  checkb "context not unbindable" false (Namespace.unbind ns ~path:"drivers");
   checkb "lookup through a value fails" true
     (Namespace.lookup ns ~path:"drivers/custom/fast/deeper" = None)
 

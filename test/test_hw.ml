@@ -21,11 +21,7 @@ let addr_basics () =
 
 let rights_ops () =
   checkb "permits read" true (Rights.permits Rights.read `Read);
-  checkb "no write" false (Rights.permits Rights.read `Write);
-  checkb "subset" true (Rights.subset Rights.read Rights.read_write);
-  checkb "not subset" false (Rights.subset Rights.all Rights.read_write);
-  Alcotest.(check string) "pp" "rw-m"
-    (Format.asprintf "%a" Rights.pp Rights.rw_meta)
+  checkb "no write" false (Rights.permits Rights.read `Write)
 
 let rights_bits_roundtrip =
   QCheck.Test.make ~name:"rights to_bits/of_bits roundtrip" ~count:16

@@ -57,8 +57,7 @@ let metrics_histogram () =
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
     at 0
   in
-  checkb "json mentions lat" true (contains (Obs.Metrics.to_json ()) "lat");
-  checkb "csv mentions lat" true (contains (Obs.Metrics.to_csv ()) "lat")
+  checkb "json mentions lat" true (contains (Obs.Metrics.to_json ()) "lat")
 
 (* --- Ring --- *)
 
@@ -68,7 +67,6 @@ let ring_wraparound () =
     Obs.Ring.record r (Time.us i) i
   done;
   check "length capped" 4 (Obs.Ring.length r);
-  check "capacity" 4 (Obs.Ring.capacity r);
   check "dropped" 6 (Obs.Ring.dropped r);
   check "total" 10 (Obs.Ring.total r);
   Alcotest.(check (list int)) "keeps newest, oldest first" [ 7; 8; 9; 10 ]

@@ -24,39 +24,39 @@ let contains hay needle =
 (* --- The spec grammar ----------------------------------------------- *)
 
 let atom_exn s =
-  match Registry.Spec.atom_of_string s with
+  match Registry.Syntax.atom_of_string s with
   | Ok a -> a
   | Error e -> Alcotest.failf "atom %S: %s" s e
 
 let spec_grammar () =
   let a = atom_exn "wsclock:32" in
-  checks "head" "wsclock" a.Registry.Spec.head;
-  Alcotest.(check (list string)) "bare arg" [ "32" ] a.Registry.Spec.args;
+  checks "head" "wsclock" a.Registry.Syntax.head;
+  Alcotest.(check (list string)) "bare arg" [ "32" ] a.Registry.Syntax.args;
   let a = atom_exn "stall:site=Victim.swap,rate=0.5,ms=30" in
-  checks "head" "stall" a.Registry.Spec.head;
+  checks "head" "stall" a.Registry.Syntax.head;
   Alcotest.(check (option string))
     "param site (lowercased)" (Some "victim.swap")
-    (Registry.Spec.param a "site");
+    (Registry.Syntax.param a "site");
   Alcotest.(check (option string))
     "param rate" (Some "0.5")
-    (Registry.Spec.param a "rate");
-  check "no bare args" 0 (List.length a.Registry.Spec.args);
-  (match Registry.Spec.of_string "fifo+ra8+wb4" with
+    (Registry.Syntax.param a "rate");
+  check "no bare args" 0 (List.length a.Registry.Syntax.args);
+  (match Registry.Syntax.of_string "fifo+ra8+wb4" with
   | Error e -> Alcotest.fail e
   | Ok t ->
-    checks "base" "fifo" t.Registry.Spec.base.Registry.Spec.head;
+    checks "base" "fifo" t.Registry.Syntax.base.Registry.Syntax.head;
     Alcotest.(check (list string))
       "modifier heads" [ "ra8"; "wb4" ]
-      (List.map (fun m -> m.Registry.Spec.head) t.Registry.Spec.mods));
+      (List.map (fun m -> m.Registry.Syntax.head) t.Registry.Syntax.mods));
   Alcotest.(check (option (pair string string)))
     "suffix split"
     (Some ("ra", "8"))
-    (Registry.Spec.split_suffix "ra8");
+    (Registry.Syntax.split_suffix "ra8");
   Alcotest.(check (option (pair string string)))
     "no suffix" None
-    (Registry.Spec.split_suffix "fifo");
+    (Registry.Syntax.split_suffix "fifo");
   checkb "empty spec is malformed" true
-    (Result.is_error (Registry.Spec.of_string "   "))
+    (Result.is_error (Registry.Syntax.of_string "   "))
 
 (* --- Typed errors and did-you-mean ----------------------------------- *)
 
@@ -307,7 +307,7 @@ let () =
     (Registry.manifest ~name:"random"
        ~doc:"uniform pseudo-random victim (test extension)" ())
     (fun a ->
-      if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
+      if a.Registry.Syntax.args = [] && a.Registry.Syntax.params = [] then
         Ok
           (Policy.Spec.Ext
              { Policy.Spec.mk_name = "random";
@@ -346,7 +346,7 @@ let () =
     (Registry.manifest ~name:"zipf"
        ~doc:"log-uniform page choice, skewed to low pages (test extension)" ())
     (fun a ->
-      if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
+      if a.Registry.Syntax.args = [] && a.Registry.Syntax.params = [] then
         Ok
           (Workload.Paging_app.Ext
              { Workload.Paging_app.g_name = "zipf";

@@ -1,5 +1,5 @@
 (* Tests for the domain-level runtime facilities: the user-level thread
-   scheduler, typed IDC, and user-safe receive demultiplexing. *)
+   scheduler and typed IDC. *)
 
 open Engine
 open Core
@@ -167,58 +167,6 @@ let idc_dead_server () =
   System.run sys ~until:(Time.sec 2);
   checkb "call to dead server fails cleanly" true !failed
 
-(* --- Rx --- *)
-
-let rx_demux_and_isolation () =
-  let sim = Sim.create () in
-  let rx = Usnet.Rx.create sim in
-  let a =
-    match Usnet.Rx.open_flow rx ~name:"a" ~ring:4 () with
-    | Ok f -> f
-    | Error e -> failwith e
-  in
-  let b =
-    match Usnet.Rx.open_flow rx ~name:"b" ~ring:4 () with
-    | Ok f -> f
-    | Error e -> failwith e
-  in
-  (* Flood flow a (nobody reading); trickle flow b. *)
-  for _ = 1 to 20 do
-    ignore (Usnet.Rx.deliver rx ~name:"a" ~bytes:1514)
-  done;
-  for _ = 1 to 3 do
-    ignore (Usnet.Rx.deliver rx ~name:"b" ~bytes:512)
-  done;
-  check "a queued to ring size" 4 (Usnet.Rx.received a);
-  check "a dropped the rest" 16 (Usnet.Rx.dropped a);
-  check "b unaffected by a's flood" 3 (Usnet.Rx.received b);
-  check "b dropped nothing" 0 (Usnet.Rx.dropped b);
-  Alcotest.(check (option int)) "b data" (Some 512) (Usnet.Rx.try_recv b);
-  checkb "unknown flow" true (Usnet.Rx.deliver rx ~name:"zz" ~bytes:1 = `No_flow)
-
-let rx_blocking_recv () =
-  let sim = Sim.create () in
-  let rx = Usnet.Rx.create sim in
-  let f =
-    match Usnet.Rx.open_flow rx ~name:"f" () with
-    | Ok f -> f
-    | Error e -> failwith e
-  in
-  let got = ref [] in
-  ignore
-    (Proc.spawn sim (fun () ->
-         for _ = 1 to 2 do
-           got := Usnet.Rx.recv f :: !got
-         done));
-  ignore
-    (Sim.after sim (Time.ms 1) (fun () ->
-         ignore (Usnet.Rx.deliver rx ~name:"f" ~bytes:100);
-         ignore (Usnet.Rx.deliver rx ~name:"f" ~bytes:200)));
-  Sim.run sim;
-  Alcotest.(check (list int)) "frames in order" [ 100; 200 ] (List.rev !got);
-  Usnet.Rx.close_flow rx f;
-  checkb "closed flow drops" true (Usnet.Rx.deliver rx ~name:"f" ~bytes:1 = `No_flow)
-
 let suite =
   [ ( "runtime.ults",
       [ Alcotest.test_case "fork/yield/join" `Quick ults_fork_join_yield;
@@ -232,8 +180,4 @@ let suite =
           idc_serialises_on_one_worker;
         Alcotest.test_case "forbidden in activation handler" `Quick
           idc_forbidden_in_handler;
-        Alcotest.test_case "dead server" `Quick idc_dead_server ] );
-    ( "runtime.rx",
-      [ Alcotest.test_case "per-flow rings isolate loss" `Quick
-          rx_demux_and_isolation;
-        Alcotest.test_case "blocking receive" `Quick rx_blocking_recv ] ) ]
+        Alcotest.test_case "dead server" `Quick idc_dead_server ] ) ]

