@@ -129,11 +129,21 @@ share:
 # many-domains, zero-delay-wake-bound ec-fleet, disk-bound
 # disk-paging): their books, lost-page and same-input determinism
 # checks must hold (non-zero exit on breach). About a second of
-# measured wall time each, plus set-up.
+# measured wall time each, plus set-up. Then one traced run of each,
+# which also runs the workload with Obs off: the last (JSON) line must
+# report obs.perturbs_outcome 0, i.e. instrumentation changed no
+# simulated outcome. The traced runs add about 20 s.
 perfbench-smoke:
 	python3 perfbench/run.py --workload many-domains --seed 42 --seconds 1 --trace 0
 	python3 perfbench/run.py --workload ec-fleet --seed 42 --seconds 1 --trace 0
 	python3 perfbench/run.py --workload disk-paging --seed 42 --seconds 1 --trace 0
+	@for w in many-domains ec-fleet disk-paging; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 42 --seconds 1 --trace 1) || exit 1; \
+		printf '%s\n' "$$out"; \
+		printf '%s\n' "$$out" | tail -n 1 | python3 -c 'import json, sys; \
+v = json.load(sys.stdin)["metrics"]["obs.perturbs_outcome"]["value"]; \
+print("obs.perturbs_outcome:", v); sys.exit(v != 0)' || exit 1; \
+	done
 
 # Registry hygiene: every registered extension name (on every axis)
 # must be documented in README.md/DESIGN.md, and every lib/experiments

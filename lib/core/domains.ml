@@ -24,6 +24,16 @@ type t = {
   mutable kill_hooks : (unit -> unit) list;
   mutable dispatcher : Proc.t option;
   mutable faults : int;
+  obs : domain_obs;
+}
+
+(* Obs handles, labelled with the domain's name once at creation. *)
+and domain_obs = {
+  fault_count : Obs.Metrics.counter;
+  rekicks : Obs.Metrics.counter;
+  fault_failed : Obs.Metrics.counter;
+  fault_deaths : Obs.Metrics.counter;
+  latency : Obs.Metrics.histogram;
 }
 
 let id t = t.id
@@ -106,7 +116,14 @@ let create ~sim ~id ~name ~cpu ~cpu_client ~pdom ~mmu ~cost () =
       fault_queue = Queue.create ();
       activations = Sync.Mailbox.create ();
       fault_handler = None; handler_proc = None; threads = []; alive = true;
-      kill_hooks = []; dispatcher = None; faults = 0 }
+      kill_hooks = []; dispatcher = None; faults = 0;
+      obs =
+        (let counter = Obs.Metrics.counter ~label:name in
+         { fault_count = counter "fault.count";
+           rekicks = counter "fault.rekicks";
+           fault_failed = counter "fault.failed";
+           fault_deaths = counter "domain.fault_deaths";
+           latency = Obs.Metrics.histogram ~label:name "fault.latency_us" }) }
   in
   Event_chan.attach t.fault_chan (fun () -> queue_notification t (drain_faults t));
   t.dispatcher <-
@@ -141,7 +158,7 @@ let rec do_access t va kind ~attempt =
         Fault.make ~va ~access:kind ~kind:fk ~sid ~now:(Sim.now t.sim)
       in
       if !Obs.enabled then begin
-        Obs.Metrics.inc ~label:t.dname "fault.count";
+        Obs.Metrics.tick t.obs.fault_count;
         fault.Fault.span <-
           Some (Obs.Span.start ~now:fault.Fault.raised_at ~label:t.dname "fault")
       end;
@@ -164,7 +181,7 @@ let rec do_access t va kind ~attempt =
                 Fault.Failed "fault notification lost"
               else begin
                 if !Obs.enabled then
-                  Obs.Metrics.inc ~label:t.dname "fault.rekicks";
+                  Obs.Metrics.tick t.obs.rekicks;
                 Event_chan.send t.fault_chan;
                 wait (kicks + 1)
               end
@@ -177,10 +194,10 @@ let rec do_access t va kind ~attempt =
         (match fault.Fault.span with
         | Some s -> Obs.Span.finish ~now s
         | None -> ());
-        Obs.Metrics.observe ~label:t.dname "fault.latency_us"
+        Obs.Metrics.record t.obs.latency
           (Time.to_us (Time.diff now fault.Fault.raised_at));
         match outcome with
-        | Fault.Failed _ -> Obs.Metrics.inc ~label:t.dname "fault.failed"
+        | Fault.Failed _ -> Obs.Metrics.tick t.obs.fault_failed
         | Fault.Resolved -> ()
       end;
       (match outcome with
@@ -223,7 +240,7 @@ let spawn_thread t ~name f =
     try f ()
     with Fault.Unresolved (_, _) ->
       if !Obs.enabled then
-        Obs.Metrics.inc ~label:t.dname "domain.fault_deaths";
+        Obs.Metrics.tick t.obs.fault_deaths;
       ignore (Proc.spawn ~name:(t.dname ^ ".reaper") t.sim (fun () -> kill t))
   in
   let p = Proc.spawn ~name:(t.dname ^ "." ^ name) t.sim body in

@@ -87,6 +87,30 @@ type state = {
   retiring : (int, int) Hashtbl.t;
   mutable restored : int;
   mutable crashed : bool;
+  obs : paged_obs;
+}
+
+(* Obs counters, labelled with the domain's name once at creation. *)
+and paged_obs = {
+  m_prefetch_hit : Obs.Metrics.counter;
+  m_swap_exhausted : Obs.Metrics.counter;
+  m_crashed : Obs.Metrics.counter;
+  m_lost_pages : Obs.Metrics.counter;
+  m_page_out : Obs.Metrics.counter;
+  m_rebloks : Obs.Metrics.counter;
+  m_prefetch_waste : Obs.Metrics.counter;
+  m_evict : Obs.Metrics.counter;
+  m_rescue : Obs.Metrics.counter;
+  m_lost_faults : Obs.Metrics.counter;
+  m_shed_frames : Obs.Metrics.counter;
+  m_prefetched : Obs.Metrics.counter;
+  m_page_in : Obs.Metrics.counter;
+  m_wb_degraded : Obs.Metrics.counter;
+  m_wb_flush : Obs.Metrics.counter;
+  m_restored_pages : Obs.Metrics.counter;
+  reblok_recovery : Inject.recovery;
+  write_recovery : Inject.recovery;
+  wb_recovery : Inject.recovery;
 }
 
 (* Write-behind is in force only while it has not been degraded away. *)
@@ -108,13 +132,9 @@ let span_finish = function
   | Some s -> Obs.Span.finish ~now:(Engine.Sim.now (Engine.Proc.current_sim ())) s
   | None -> ()
 
-let metric_inc st name =
-  if !Obs.enabled then
-    Obs.Metrics.inc ~label:st.env.Stretch_driver.domain_name name
+let metric_inc c = if !Obs.enabled then Obs.Metrics.tick c
 
-let metric_add st name n =
-  if n > 0 && !Obs.enabled then
-    Obs.Metrics.add ~label:st.env.Stretch_driver.domain_name name n
+let metric_add c n = if n > 0 && !Obs.enabled then Obs.Metrics.bump c n
 
 (* Bind-time failwiths: faulting before bind, binding twice, or
    binding a stretch larger than the swap are wiring bugs in the
@@ -161,7 +181,7 @@ let bind st (s : Stretch.t) =
         st.restored <- st.restored + 1
       end)
     st.restore;
-  if st.restored > 0 then metric_add st "sd.restored_pages" st.restored
+  if st.restored > 0 then metric_add st.obs.m_restored_pages st.restored
 
 let owns_fault st (fault : Fault.t) =
   match (fault.sid, st.stretch) with
@@ -175,7 +195,7 @@ let settle_prefetch st p referenced =
   | Resident r when r.via_prefetch && referenced ->
     r.via_prefetch <- false;
     st.prefetch_hits <- st.prefetch_hits + 1;
-    metric_inc st "policy.prefetch_hit"
+    metric_inc st.obs.m_prefetch_hit
   | _ -> ()
 
 (* The window through which replacement policies see the hardware:
@@ -224,7 +244,7 @@ let install_zero st page pfn =
 let note_swap_exhausted st =
   if not st.swap_exhausted then begin
     st.swap_exhausted <- true;
-    metric_inc st "sd.swap_exhausted"
+    metric_inc st.obs.m_swap_exhausted
   end
 
 (* Ensure the page has a blok assigned (first-fit from the bitmap).
@@ -285,7 +305,7 @@ let release_retired st pages =
 let note_crashed st =
   if not st.crashed then begin
     st.crashed <- true;
-    metric_inc st "sd.crashed"
+    metric_inc st.obs.m_crashed
   end
 
 (* Invert [blok_of_page] over a write-behind run: the (page, slot)
@@ -300,7 +320,7 @@ let pages_for_run st ~blok ~nbloks =
 let mark_lost st page =
   st.pages.(page) <- Lost;
   st.lost_pages <- st.lost_pages + 1;
-  metric_inc st "sd.lost_pages"
+  metric_inc st.obs.m_lost_pages
 
 (* Write [page]'s blok synchronously, re-blokking around bad bloks: a
    write that exhausts the USBS recovery ladder (retries, spare
@@ -324,7 +344,7 @@ let write_now st ~page blok =
     | Ok () ->
       if journaled then release_retired st [ page ];
       st.page_outs <- st.page_outs + 1;
-      metric_inc st "policy.page_out";
+      metric_inc st.obs.m_page_out;
       true
     | Error `Retired -> false
     | Error `Crashed ->
@@ -335,12 +355,12 @@ let write_now st ~page blok =
       | Some b' ->
         st.blok_of_page.(page) <- b';
         st.rebloks <- st.rebloks + 1;
-        Inject.note_remapped "sd.reblok";
-        metric_inc st "sd.rebloks";
+        Inject.note_remapped st.obs.reblok_recovery;
+        metric_inc st.obs.m_rebloks;
         go b'
       | None ->
         note_swap_exhausted st;
-        Inject.note_killed "sd.write";
+        Inject.note_killed st.obs.write_recovery;
         false)
   in
   go blok
@@ -435,9 +455,9 @@ let evict_one ?(clean_only = false) ?(no_clean = false) st =
         (match st.pages.(victim) with
         | Resident { via_prefetch = true; _ } ->
           st.prefetch_waste <- st.prefetch_waste + 1;
-          metric_inc st "policy.prefetch_waste"
+          metric_inc st.obs.m_prefetch_waste
         | _ -> ());
-        metric_inc st "policy.evict";
+        metric_inc st.obs.m_evict;
         (match decision with
         | `Clean_to blok ->
           if wb_on st then begin
@@ -484,7 +504,7 @@ let try_rescue st page =
       st.tick <- st.tick + 1;
       Frame_stack.move_to_bottom (stack st) pfn;
       st.rescues <- st.rescues + 1;
-      metric_inc st "policy.rescue";
+      metric_inc st.obs.m_rescue;
       true
     | None -> false)
   | _ -> false
@@ -512,7 +532,7 @@ let fast st (fault : Fault.t) =
         else Stretch_driver.Retry
       | Swapped -> Stretch_driver.Retry (* needs disk: worker path *)
       | Lost ->
-        metric_inc st "sd.lost_faults";
+        metric_inc st.obs.m_lost_faults;
         Stretch_driver.Failure "page contents lost to media error"
       | Fresh ->
         (match take_pool st with
@@ -540,7 +560,7 @@ let shed_optimistic st =
   done;
   if !freed > 0 then begin
     st.shed <- st.shed + !freed;
-    metric_add st "sd.shed_frames" !freed
+    metric_add st.obs.m_shed_frames !freed
   end
 
 (* Swap-exhaustion degradation, rung 1: only victims needing no
@@ -704,7 +724,7 @@ let fetch_extras st parent extras =
               end)
             got;
           st.prefetched <- st.prefetched + !mapped;
-          metric_add st "policy.prefetched" !mapped
+          metric_add st.obs.m_prefetched !mapped
       end)
     chains
 
@@ -733,7 +753,7 @@ let full st (fault : Fault.t) =
       match st.pages.(page) with
       | Resident _ -> Stretch_driver.Success
       | Lost ->
-        metric_inc st "sd.lost_faults";
+        metric_inc st.obs.m_lost_faults;
         Stretch_driver.Failure "page contents lost to media error"
       | Wb_pending _ ->
         if try_rescue st page then Stretch_driver.Success
@@ -832,11 +852,11 @@ let full st (fault : Fault.t) =
           span_finish mp;
           st.tick <- st.tick + 1;
           st.prefetched <- st.prefetched + !mapped_extra;
-          metric_add st "policy.prefetched" !mapped_extra;
+          metric_add st.obs.m_prefetched !mapped_extra;
           if lost_blok blok0 then begin
             (* The demanded page itself is unrecoverable: a domain
                fault, not a simulator abort. *)
-            metric_inc st "sd.lost_faults";
+            metric_inc st.obs.m_lost_faults;
             match r with
             | Error `Retired ->
               Stretch_driver.Failure "backing store retired"
@@ -846,7 +866,7 @@ let full st (fault : Fault.t) =
           end
           else begin
             st.page_ins <- st.page_ins + 1;
-            metric_inc st "policy.page_in";
+            metric_inc st.obs.m_page_in;
             fetch_extras st fault.Fault.span (List.rev !extras);
             Stretch_driver.Success
           end
@@ -918,7 +938,7 @@ let drop_page st p =
     (match st.pages.(p) with
     | Resident { via_prefetch = true; _ } ->
       st.prefetch_waste <- st.prefetch_waste + 1;
-      metric_inc st "policy.prefetch_waste"
+      metric_inc st.obs.m_prefetch_waste
     | _ -> ());
     let dirty = Pte.dirty pte || r.dirty_latched in
     let must_clean = st.forgetful || dirty || not r.clean_on_disk in
@@ -931,7 +951,7 @@ let drop_page st p =
       st.repl.Policy.Replacement.insert p
     end
     else begin
-      metric_inc st "policy.evict";
+      metric_inc st.obs.m_evict;
       st.evictions <- st.evictions + 1;
       if must_clean then begin
         let blok = Option.get blok in
@@ -1083,7 +1103,24 @@ let create ?(forgetful = false) ?(initial_frames = 0) ?(readahead = 0)
       prefetched = 0; prefetch_hits = 0; prefetch_waste = 0; rescues = 0;
       lost_pages = 0; rebloks = 0; shed = 0; degraded_sync = false;
       swap_exhausted = false; restore; retiring = Hashtbl.create 7;
-      restored = 0; crashed = false }
+      restored = 0; crashed = false;
+      obs =
+        (let c = Obs.Metrics.counter ~label:env.Stretch_driver.domain_name in
+         { m_prefetch_hit = c "policy.prefetch_hit";
+           m_swap_exhausted = c "sd.swap_exhausted";
+           m_crashed = c "sd.crashed"; m_lost_pages = c "sd.lost_pages";
+           m_page_out = c "policy.page_out"; m_rebloks = c "sd.rebloks";
+           m_prefetch_waste = c "policy.prefetch_waste";
+           m_evict = c "policy.evict"; m_rescue = c "policy.rescue";
+           m_lost_faults = c "sd.lost_faults";
+           m_shed_frames = c "sd.shed_frames";
+           m_prefetched = c "policy.prefetched";
+           m_page_in = c "policy.page_in"; m_wb_degraded = c "sd.wb_degraded";
+           m_wb_flush = c "policy.wb_flush";
+           m_restored_pages = c "sd.restored_pages";
+           reblok_recovery = Inject.recovery "sd.reblok";
+           write_recovery = Inject.recovery "sd.write";
+           wb_recovery = Inject.recovery "sd.wb" }) }
   in
   tick_ref := (fun () -> st.tick);
   st.wb <-
@@ -1130,7 +1167,7 @@ let create ?(forgetful = false) ?(initial_frames = 0) ?(readahead = 0)
           let n = Array.length st.blok_of_page in
           List.iter
             (fun bad ->
-              Inject.note_killed "sd.wb";
+              Inject.note_killed st.obs.wb_recovery;
               let rec find i =
                 if i >= n then ()
                 else if st.blok_of_page.(i) = bad then (
@@ -1143,11 +1180,11 @@ let create ?(forgetful = false) ?(initial_frames = 0) ?(readahead = 0)
             lost;
           if not st.degraded_sync then begin
             st.degraded_sync <- true;
-            metric_inc st "sd.wb_degraded"
+            metric_inc st.obs.m_wb_degraded
           end);
         st.page_outs <- st.page_outs + nbloks - List.length lost;
-        metric_add st "policy.page_out" (nbloks - List.length lost);
-        metric_inc st "policy.wb_flush")
+        metric_add st.obs.m_page_out (nbloks - List.length lost);
+        metric_inc st.obs.m_wb_flush)
       ();
   let shortfall = ref 0 in
   for _ = 1 to initial_frames do

@@ -63,7 +63,8 @@ let at t time fn =
 let after t d fn = at t (Time.add t.clock d) fn
 
 (* [live] is decremented exactly once per handle: either at [cancel]
-   time, or when a non-cancelled handle is popped and executed. *)
+   time, or when a non-cancelled handle is popped and executed. Firing
+   marks the handle cancelled, so cancelling it afterwards is a no-op. *)
 let cancel h =
   if not h.cancelled then begin
     h.cancelled <- true;
@@ -95,6 +96,7 @@ let rec next t limit =
   else none
 
 let fire t h =
+  h.cancelled <- true;
   decr t.live;
   h.fn ()
 

@@ -24,7 +24,8 @@ val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after sim d f] = [at sim (now + d) f]. *)
 
 val cancel : handle -> unit
-(** Prevent a pending event from firing; idempotent. *)
+(** Prevent a pending event from firing; idempotent, and a no-op once
+    the event has fired. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Run the event loop until the queue drains, or until the clock would

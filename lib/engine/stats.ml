@@ -1,32 +1,23 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable minv : float;
   mutable maxv : float;
   samples : float Dynarray.t option;
 }
 
 let create ?(keep_samples = false) () =
-  { n = 0; mean = 0.0; minv = nan; maxv = nan;
+  { n = 0; mean = 0.0; maxv = nan;
     samples = (if keep_samples then Some (Dynarray.create ()) else None) }
 
 let add t x =
   t.n <- t.n + 1;
   t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
-  if t.n = 1 then begin
-    t.minv <- x;
-    t.maxv <- x
-  end
-  else begin
-    if x < t.minv then t.minv <- x;
-    if x > t.maxv then t.maxv <- x
-  end;
+  if t.n = 1 || x > t.maxv then t.maxv <- x;
   match t.samples with Some d -> Dynarray.add_last d x | None -> ()
 
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
 
-let min_value t = t.minv
 let max_value t = t.maxv
 
 let percentile t p =

@@ -1,7 +1,7 @@
 (** Online statistics and simple fixed-bucket histograms. *)
 
 type t
-(** A running summary: count, mean, min, max, and —
+(** A running summary: count, mean, max, and —
     when created with [~keep_samples:true] — exact percentiles. *)
 
 val create : ?keep_samples:bool -> unit -> t
@@ -12,10 +12,8 @@ val count : t -> int
 val mean : t -> float
 (** 0.0 when empty. *)
 
-val min_value : t -> float
-(** [nan] when empty. *)
-
 val max_value : t -> float
+(** [nan] when empty. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [0,100]; requires [keep_samples];

@@ -405,7 +405,41 @@ let bump_class cls =
   let n = try Hashtbl.find classes cls with Not_found -> 0 in
   Hashtbl.replace classes cls (n + 1)
 
-let metric name = Obs.Metrics.inc ("inject." ^ name)
+(* Inject's state is module-global, and so are its metric handles. *)
+let counter name = Obs.Metrics.counter ("inject." ^ name)
+let metric = Obs.Metrics.tick
+let m_errors = counter "errors"
+let m_spikes = counter "spikes"
+let m_stalls = counter "stalls"
+let m_chan_drops = counter "chan_drops"
+let m_chan_delays = counter "chan_delays"
+let m_link_drops = counter "link_drops"
+let m_link_delays = counter "link_delays"
+let m_node_crashes = counter "node_crashes"
+let m_node_partitions = counter "node_partitions"
+let m_node_wipes = counter "node_wipes"
+let m_node_joins = counter "node_joins"
+let m_node_retires = counter "node_retires"
+let m_shard_corruptions = counter "shard_corruptions"
+let m_crashes = counter "crashes"
+let m_retried = counter "retried"
+let m_remapped = counter "remapped"
+let m_degraded = counter "degraded"
+let m_killed = counter "killed"
+let m_pressure_bursts = counter "pressure_bursts"
+let m_zpool_bursts = counter "zpool_bursts"
+let m_zpool_shed_frames = counter "zpool_shed_frames"
+
+(* Media-error classes, indexed by direction (read 0, write 2) plus
+   1 if persistent: the tally class and its
+   ["inject.errors.<dir>.<kind>"] counter. *)
+let error_classes =
+  Array.map
+    (fun (dir, kind) ->
+      let cls = Printf.sprintf "%s.%s" dir kind in
+      ("disk." ^ cls, counter ("errors." ^ cls)))
+    [| ("read", "transient"); ("read", "persistent");
+       ("write", "transient"); ("write", "persistent") |]
 
 let reset () =
   rng := Rng.create ~seed:!the_plan.seed;
@@ -445,11 +479,13 @@ let op_matches bf op =
 
 let note_error ~op ~persistent =
   counts := { !counts with injected_errors = !counts.injected_errors + 1 };
-  let dir = match op with Read -> "read" | Write -> "write" in
-  let kind = if persistent then "persistent" else "transient" in
-  bump_class (Printf.sprintf "disk.%s.%s" dir kind);
-  metric "errors";
-  metric (Printf.sprintf "errors.%s.%s" dir kind)
+  let cls, m =
+    error_classes.((match op with Read -> 0 | Write -> 2)
+                   + if persistent then 1 else 0)
+  in
+  bump_class cls;
+  metric m_errors;
+  metric m
 
 let disk ~op ~lba ~nblocks =
   if not !enabled then Pass
@@ -503,7 +539,7 @@ let disk ~op ~lba ~nblocks =
             else if chance rf.rf_spike then begin
               counts := { !counts with spikes = !counts.spikes + 1 };
               bump_class "disk.spike";
-              metric "spikes";
+              metric m_spikes;
               Spike rf.rf_spike_span
             end
             else Pass)
@@ -518,7 +554,7 @@ let stall ~site =
           counts :=
             { !counts with stalls_injected = !counts.stalls_injected + 1 };
           bump_class ("stall." ^ site);
-          metric "stalls";
+          metric m_stalls;
           Some st.st_span
         end
         else None
@@ -534,13 +570,13 @@ let chan ~name =
         if chance cf.cf_drop then begin
           counts := { !counts with chan_drops = !counts.chan_drops + 1 };
           bump_class ("chan.drop." ^ name);
-          metric "chan_drops";
+          metric m_chan_drops;
           Drop
         end
         else if chance cf.cf_delay then begin
           counts := { !counts with chan_delays = !counts.chan_delays + 1 };
           bump_class ("chan.delay." ^ name);
-          metric "chan_delays";
+          metric m_chan_delays;
           Delay cf.cf_delay_span
         end
         else Deliver
@@ -560,13 +596,13 @@ let link ~name =
         if chance lf.lf_drop then begin
           counts := { !counts with link_drops = !counts.link_drops + 1 };
           bump_class ("link.drop." ^ name);
-          metric "link_drops";
+          metric m_link_drops;
           Drop
         end
         else if chance lf.lf_delay then begin
           counts := { !counts with link_delays = !counts.link_delays + 1 };
           bump_class ("link.delay." ^ name);
-          metric "link_delays";
+          metric m_link_delays;
           Delay lf.lf_delay_span
         end
         else Deliver
@@ -600,7 +636,7 @@ let node_reachable ~name ~now =
               counts :=
                 { !counts with node_crashes = !counts.node_crashes + 1 };
               bump_class ("node.crash." ^ name);
-              metric "node_crashes");
+              metric m_node_crashes);
           false
         end
         else
@@ -615,7 +651,7 @@ let node_reachable ~name ~now =
                         { !counts with
                           node_partitions = !counts.node_partitions + 1 };
                       bump_class ("node.partition." ^ name);
-                      metric "node_partitions");
+                      metric m_node_partitions);
                   true
                 end
                 else partitioned (i + 1) rest
@@ -647,7 +683,7 @@ let node_wipe_due ~name ~now =
             (fun () ->
               counts := { !counts with node_wipes = !counts.node_wipes + 1 };
               bump_class ("node.wipe." ^ name);
-              metric "node_wipes")
+              metric m_node_wipes)
             nf.nf_wipe_at
         in
         let crashed = due "crashwipe" (fun () -> ()) nf.nf_crash_at in
@@ -680,7 +716,7 @@ let node_join_due ~name ~now =
     (fun () ->
       counts := { !counts with node_joins = !counts.node_joins + 1 };
       bump_class ("node.join." ^ name);
-      metric "node_joins")
+      metric m_node_joins)
     ~name ~now
 
 let node_retire_due ~name ~now =
@@ -689,7 +725,7 @@ let node_retire_due ~name ~now =
     (fun () ->
       counts := { !counts with node_retires = !counts.node_retires + 1 };
       bump_class ("node.retire." ^ name);
-      metric "node_retires")
+      metric m_node_retires)
     ~name ~now
 
 (* Per-shard-fetch consultation: the named node flips a bit in the
@@ -707,7 +743,7 @@ let shard_corrupt ~name =
             { !counts with
               shard_corruptions = !counts.shard_corruptions + 1 };
           bump_class ("shard.corrupt." ^ name);
-          metric "shard_corruptions";
+          metric m_shard_corruptions;
           true
         end
         else false
@@ -741,36 +777,49 @@ let crash_write ~now ~site ~lba ~nblocks =
         Hashtbl.replace crash_fired i ();
         counts := { !counts with crashes = !counts.crashes + 1 };
         bump_class "crash.write";
-        metric "crashes";
+        metric m_crashes;
         Some (Rng.int !rng nblocks)
   end
 
 (* -- recovery accounting --------------------------------------------- *)
 
-let note_retried cls =
+type recovery = {
+  r_retried : Obs.Metrics.counter;
+  r_remapped : Obs.Metrics.counter;
+  r_degraded : Obs.Metrics.counter;
+  r_killed : Obs.Metrics.counter;
+}
+
+let recovery cls =
+  { r_retried = counter ("retried." ^ cls);
+    r_remapped = counter ("remapped." ^ cls);
+    r_degraded = counter ("degraded." ^ cls);
+    r_killed = counter ("killed." ^ cls) }
+
+let note_retried r =
   counts := { !counts with retried = !counts.retried + 1 };
-  metric "retried";
-  metric ("retried." ^ cls)
+  metric m_retried;
+  metric r.r_retried
 
-let note_remapped cls =
+let note_remapped r =
   counts := { !counts with remapped = !counts.remapped + 1 };
-  metric "remapped";
-  metric ("remapped." ^ cls)
+  metric m_remapped;
+  metric r.r_remapped
 
-let note_degraded cls =
+let note_degraded r =
   counts := { !counts with degraded = !counts.degraded + 1 };
-  metric "degraded";
-  metric ("degraded." ^ cls)
+  metric m_degraded;
+  metric r.r_degraded
 
-let note_killed cls =
+let note_killed r =
   counts := { !counts with killed = !counts.killed + 1 };
-  metric "killed";
-  metric ("killed." ^ cls)
+  metric m_killed;
+  metric r.r_killed
 
 let note_pressure_burst () =
   counts :=
     { !counts with pressure_bursts = !counts.pressure_bursts + 1 };
-  metric "pressure_bursts"
+  metric m_pressure_bursts
 
 (* Zpool bursts, like frame-pressure bursts, are tallied outside the
    [accounted] equation: shrinking the compressed tier's budget sheds
@@ -780,8 +829,8 @@ let note_pressure_burst () =
 let note_zpool_burst ~shed =
   counts := { !counts with zpool_bursts = !counts.zpool_bursts + 1 };
   bump_class "zpool.burst";
-  metric "zpool_bursts";
-  if shed > 0 then Obs.Metrics.add "inject.zpool_shed_frames" shed
+  metric m_zpool_bursts;
+  if shed > 0 then Obs.Metrics.bump m_zpool_shed_frames shed
 
 let tally () = !counts
 

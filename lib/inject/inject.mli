@@ -244,13 +244,21 @@ val crash_write :
 
 (** {2 Recovery accounting (called by the hardened layers)} *)
 
-val note_retried : string -> unit
-(** One injected error answered by a retry (the class string labels
-    the site, e.g. ["sfs.read"]). *)
+type recovery
+(** One layer's recovery site: the per-class counters
+    (["inject.retried.<class>"] and its three siblings), built once
+    by the layer that owns the site. *)
 
-val note_remapped : string -> unit
-val note_degraded : string -> unit
-val note_killed : string -> unit
+val recovery : string -> recovery
+(** [recovery cls]: the class string labels the site, e.g.
+    ["sfs.read"]. *)
+
+val note_retried : recovery -> unit
+(** One injected error answered by a retry. *)
+
+val note_remapped : recovery -> unit
+val note_degraded : recovery -> unit
+val note_killed : recovery -> unit
 
 (** {2 Introspection} *)
 

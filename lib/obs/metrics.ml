@@ -1,17 +1,29 @@
-open Engine
+(* The running moments of a histogram, updated as {!Engine.Stats}
+   updates its own. An all-float record stores its fields unboxed, so
+   a sample allocates nothing. *)
+type moments = { mutable mean : float; mutable minv : float; mutable maxv : float }
 
 type hist = {
   bounds : float array;
   counts : int array; (* length bounds + 1; last = overflow *)
-  summary : Stats.t;
+  mutable n : int;
+  m : moments;
 }
+
+(* A gauge cell is a one-float record, so writing it stores the float
+   unboxed instead of allocating a box. *)
+type fcell = { mutable v : float }
 
 type metric =
   | MCounter of int ref
-  | MGauge of float ref
+  | MGauge of fcell
   | MHist of hist
 
 let registry : (string * string, metric) Hashtbl.t = Hashtbl.create 64
+
+(* Bumped by [reset]: a handle whose [gen] differs points into a
+   dropped registry and re-resolves before its next write. *)
+let generation = ref 0
 
 let latency_bounds_us =
   [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1_000.; 2_000.; 5_000.;
@@ -35,18 +47,6 @@ let find_or ~name ~label make =
     Hashtbl.add registry (name, label) m;
     m
 
-let add ?(label = "") name n =
-  match find_or ~name ~label (fun () -> MCounter (ref 0)) with
-  | MCounter r -> r := !r + n
-  | m -> wrong_kind name label m "counter"
-
-let inc ?label name = add ?label name 1
-
-let set_gauge ?(label = "") name v =
-  match find_or ~name ~label (fun () -> MGauge (ref v)) with
-  | MGauge r -> r := v
-  | m -> wrong_kind name label m "gauge"
-
 let make_hist bounds =
   let n = Array.length bounds in
   if n = 0 then invalid_arg "Metrics: empty histogram bounds";
@@ -54,8 +54,76 @@ let make_hist bounds =
     if bounds.(i) <= bounds.(i - 1) then
       invalid_arg "Metrics: histogram bounds must be strictly increasing"
   done;
-  { bounds; counts = Array.make (n + 1) 0;
-    summary = Stats.create () }
+  { bounds; counts = Array.make (n + 1) 0; n = 0;
+    m = { mean = 0.0; minv = nan; maxv = nan } }
+
+(* --- handles ------------------------------------------------------ *)
+
+(* What a handle points at, and what it registers on first use. *)
+type _ kind =
+  | Counter_k : int ref kind
+  | Gauge_k : fcell kind
+  | Hist_k : float array -> hist kind
+
+(* [gen = -1] until first use: a handle registers nothing until it is
+   written through. *)
+type 'cell handle = {
+  name : string;
+  label : string;
+  kind : 'cell kind;
+  mutable gen : int;
+  mutable cell : 'cell;
+}
+
+type counter = int ref handle
+type gauge = fcell handle
+type histogram = hist handle
+
+(* Placeholders shared by every unresolved handle; never written. *)
+let unbound_count = ref 0
+let unbound_gauge = { v = 0.0 }
+let unbound_hist =
+  { bounds = [||]; counts = [||]; n = 0;
+    m = { mean = 0.0; minv = nan; maxv = nan } }
+
+let counter ?(label = "") name =
+  { name; label; kind = Counter_k; gen = -1; cell = unbound_count }
+
+let gauge ?(label = "") name =
+  { name; label; kind = Gauge_k; gen = -1; cell = unbound_gauge }
+
+let histogram ?(label = "") ?(bounds = latency_bounds_us) name =
+  { name; label; kind = Hist_k bounds; gen = -1; cell = unbound_hist }
+
+let resolve (type c) (h : c handle) =
+  let fresh () =
+    match h.kind with
+    | Counter_k -> MCounter (ref 0)
+    | Gauge_k -> MGauge { v = 0.0 }
+    | Hist_k bounds -> MHist (make_hist bounds)
+  in
+  let m = find_or ~name:h.name ~label:h.label fresh in
+  let cell : c =
+    match (h.kind, m) with
+    | Counter_k, MCounter r -> r
+    | Gauge_k, MGauge g -> g
+    | Hist_k _, MHist x -> x
+    | Counter_k, _ -> wrong_kind h.name h.label m "counter"
+    | Gauge_k, _ -> wrong_kind h.name h.label m "gauge"
+    | Hist_k _, _ -> wrong_kind h.name h.label m "histogram"
+  in
+  h.cell <- cell;
+  h.gen <- !generation
+
+let bump c n =
+  if c.gen <> !generation then resolve c;
+  c.cell := !(c.cell) + n
+
+let tick c = bump c 1
+
+let set g v =
+  if g.gen <> !generation then resolve g;
+  g.cell.v <- v
 
 let bucket_of h x =
   (* First bound >= x, by binary search; n = overflow. *)
@@ -67,13 +135,22 @@ let bucket_of h x =
   done;
   !lo
 
-let observe ?(label = "") ?(bounds = latency_bounds_us) name x =
-  match find_or ~name ~label (fun () -> MHist (make_hist bounds)) with
-  | MHist h ->
-    let i = bucket_of h x in
-    h.counts.(i) <- h.counts.(i) + 1;
-    Stats.add h.summary x
-  | m -> wrong_kind name label m "histogram"
+let record h x =
+  if h.gen <> !generation then resolve h;
+  let cell = h.cell in
+  let i = bucket_of cell x in
+  cell.counts.(i) <- cell.counts.(i) + 1;
+  cell.n <- cell.n + 1;
+  let m = cell.m in
+  m.mean <- m.mean +. ((x -. m.mean) /. float_of_int cell.n);
+  if cell.n = 1 then begin
+    m.minv <- x;
+    m.maxv <- x
+  end
+  else begin
+    if x < m.minv then m.minv <- x;
+    if x > m.maxv then m.maxv <- x
+  end
 
 let counter_value ?(label = "") name =
   match Hashtbl.find_opt registry (name, label) with
@@ -82,7 +159,7 @@ let counter_value ?(label = "") name =
 
 let gauge_value ?(label = "") name =
   match Hashtbl.find_opt registry (name, label) with
-  | Some (MGauge r) -> Some !r
+  | Some (MGauge cell) -> Some cell.v
   | _ -> None
 
 type hist_view = {
@@ -95,10 +172,10 @@ type hist_view = {
 
 let view_of h =
   let n = Array.length h.bounds in
-  { hv_count = Stats.count h.summary;
-    hv_mean = Stats.mean h.summary;
-    hv_min = Stats.min_value h.summary;
-    hv_max = Stats.max_value h.summary;
+  { hv_count = h.n;
+    hv_mean = (if h.n = 0 then 0.0 else h.m.mean);
+    hv_min = h.m.minv;
+    hv_max = h.m.maxv;
     hv_buckets =
       Array.init (n + 1) (fun i ->
           ((if i = n then infinity else h.bounds.(i)), h.counts.(i))) }
@@ -140,7 +217,7 @@ let snapshot () =
       let v =
         match m with
         | MCounter r -> Counter !r
-        | MGauge r -> Gauge !r
+        | MGauge cell -> Gauge cell.v
         | MHist h -> Histogram (view_of h)
       in
       (name, label, v) :: acc)
@@ -153,7 +230,9 @@ let labels_of name =
     registry []
   |> List.sort compare
 
-let reset () = Hashtbl.reset registry
+let reset () =
+  Hashtbl.reset registry;
+  incr generation
 
 (* --- export ------------------------------------------------------- *)
 

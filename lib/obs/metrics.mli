@@ -7,26 +7,50 @@
 
     - {b counters}: monotonically increasing integers;
     - {b gauges}: last-written floats;
-    - {b histograms}: fixed-bucket latency/size distributions built on
-      {!Engine.Stats} for the running moments.
+    - {b histograms}: fixed-bucket latency/size distributions with a
+      running count, mean, min and max.
 
-    All mutators auto-register on first use, so instrumentation sites
-    need no set-up; they are cheap enough for the fault hot path (one
-    hash lookup) but callers should still guard with {!Switch.enabled}
-    so the disabled path costs a single flag read. *)
+    Instrumentation writes through typed handles. A handle names one
+    metric and is built once, where the object that emits it is
+    built (a domain, a driver, a scheduler client); the hot path then
+    updates a cell the handle already holds, with no string built,
+    no key hashed and no word allocated.
 
-val inc : ?label:string -> string -> unit
-(** Increment a counter by one. *)
+    A handle registers its metric lazily, on its first write, so a
+    handle that is never written leaves the registry as it was.
+    {!reset} starts a new generation: a handle made before it
+    re-resolves once, on its next write, and from then on writes
+    into the new registry. Handles to the same name and label share
+    one metric. A write raises [Invalid_argument] when its name and
+    label are registered as another kind of metric. Callers still
+    guard writes with {!Switch.enabled}, so the disabled path costs a
+    single flag read. *)
 
-val add : ?label:string -> string -> int -> unit
-(** Increment a counter by [n]. *)
+type counter
+type gauge
+type histogram
 
-val set_gauge : ?label:string -> string -> float -> unit
+val counter : ?label:string -> string -> counter
+(** A handle on counter [name] under [label] ([""] by default). *)
 
-val observe : ?label:string -> ?bounds:float array -> string -> float -> unit
-(** Add a sample to a histogram. [bounds] (strictly increasing bucket
-    upper limits; default roughly log-spaced 1 µs .. 1 s) is only
-    consulted when the histogram is first created. *)
+val gauge : ?label:string -> string -> gauge
+
+val histogram : ?label:string -> ?bounds:float array -> string -> histogram
+(** [bounds] (strictly increasing bucket upper limits; default
+    roughly log-spaced 1 µs .. 1 s) is only consulted when the
+    histogram is first registered. *)
+
+val tick : counter -> unit
+(** Increment by one. *)
+
+val bump : counter -> int -> unit
+(** Increment by [n]. *)
+
+val set : gauge -> float -> unit
+(** Overwrite the gauge's value. *)
+
+val record : histogram -> float -> unit
+(** Add a sample. *)
 
 val counter_value : ?label:string -> string -> int
 (** 0 when the counter does not exist. *)
@@ -62,7 +86,7 @@ val labels_of : string -> string list
 (** The labels under which [name] is registered, sorted. *)
 
 val reset : unit -> unit
-(** Drop every registered metric. *)
+(** Drop every registered metric and start a new handle generation. *)
 
 val to_json : unit -> string
 (** The whole registry as a JSON array (no trailing newline). *)

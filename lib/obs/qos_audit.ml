@@ -58,26 +58,65 @@ let mem_guarantees : (int, int) Hashtbl.t = Hashtbl.create 16
 let mem_capacity = ref max_int
 let boundaries = ref 0
 
+(* One ["qos.violations"] handle per class; the auditor is
+   process-global, so its handles are too. *)
+let violation_counters =
+  List.map
+    (fun cls -> (cls, Metrics.counter ~label:cls "qos.violations"))
+    [ "cpu.undersupply"; "usd.undersupply"; "mem.overcommit";
+      "revocation.overdue"; "guarantee.starved" ]
+
 let record ~now v =
   Ring.record events_ring now v;
   let cls = class_of v in
   (match Hashtbl.find_opt class_counts cls with
   | Some r -> incr r
   | None -> Hashtbl.add class_counts cls (ref 1));
-  Metrics.inc ~label:cls "qos.violations"
+  Metrics.tick (List.assoc cls violation_counters)
 
 (* --- undersupply streaks ------------------------------------------- *)
 
-let boundary ~now ~key ~entitled ~got ~backlogged make =
-  incr boundaries;
+(* A stream finds its streak by key once per [reset] generation. *)
+type stream = {
+  key : string;
+  make : entitled:Time.span -> got:Time.span -> periods:int -> violation;
+  mutable gen : int;
+  mutable streak : streak;
+}
+
+let generation = ref 0
+
+(* Every unresolved stream's placeholder streak; never written. *)
+let unbound = { periods = 0; entitled_acc = 0; got_acc = 0 }
+
+let cpu_stream ~dom =
+  { key = "cpu:" ^ dom; gen = -1; streak = unbound;
+    make =
+      (fun ~entitled ~got ~periods ->
+        Cpu_undersupply { dom; entitled; got; periods }) }
+
+let usd_stream ~stream =
+  { key = "usd:" ^ stream; gen = -1; streak = unbound;
+    make =
+      (fun ~entitled ~got ~periods ->
+        Usd_undersupply { stream; entitled; got; periods }) }
+
+let resolve st =
   let s =
-    match Hashtbl.find_opt streaks key with
+    match Hashtbl.find_opt streaks st.key with
     | Some s -> s
     | None ->
       let s = { periods = 0; entitled_acc = 0; got_acc = 0 } in
-      Hashtbl.add streaks key s;
+      Hashtbl.add streaks st.key s;
       s
   in
+  st.streak <- s;
+  st.gen <- !generation
+
+let boundary st ~now ~entitled ~got ~backlogged =
+  incr boundaries;
+  if st.gen <> !generation then resolve st;
+  let s = st.streak in
   let shortfall =
     float_of_int (entitled - got) > tolerance *. float_of_int entitled
   in
@@ -86,7 +125,7 @@ let boundary ~now ~key ~entitled ~got ~backlogged make =
     s.entitled_acc <- s.entitled_acc + entitled;
     s.got_acc <- s.got_acc + got;
     if s.periods >= patience then begin
-      record ~now (make ~entitled:s.entitled_acc ~got:s.got_acc
+      record ~now (st.make ~entitled:s.entitled_acc ~got:s.got_acc
                      ~periods:s.periods);
       s.periods <- 0;
       s.entitled_acc <- 0;
@@ -98,15 +137,6 @@ let boundary ~now ~key ~entitled ~got ~backlogged make =
     s.entitled_acc <- 0;
     s.got_acc <- 0
   end
-
-let cpu_boundary ~now ~dom ~entitled ~got ~backlogged =
-  boundary ~now ~key:("cpu:" ^ dom) ~entitled ~got ~backlogged
-    (fun ~entitled ~got ~periods -> Cpu_undersupply { dom; entitled; got; periods })
-
-let usd_boundary ~now ~stream ~entitled ~got ~backlogged =
-  boundary ~now ~key:("usd:" ^ stream) ~entitled ~got ~backlogged
-    (fun ~entitled ~got ~periods ->
-      Usd_undersupply { stream; entitled; got; periods })
 
 (* --- memory contracts ---------------------------------------------- *)
 
@@ -159,4 +189,5 @@ let reset () =
   Hashtbl.reset streaks;
   Hashtbl.reset mem_guarantees;
   mem_capacity := max_int;
-  boundaries := 0
+  boundaries := 0;
+  incr generation

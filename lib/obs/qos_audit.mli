@@ -45,16 +45,20 @@ val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Observation feeds (called by instrumentation hooks)} *)
 
-val cpu_boundary :
-  now:Time.t -> dom:string -> entitled:Time.span -> got:Time.span ->
-  backlogged:bool -> unit
-(** One CPU-contract period boundary: the client was entitled to
-    [entitled] and consumed [got]; [backlogged] means it had queued
-    work for the whole period. *)
+type stream
+(** One client's CPU or USD contract as the auditor sees it. The
+    scheduler builds it once, at admission, and feeds every period
+    boundary through it; it finds its streak once per {!reset}. *)
 
-val usd_boundary :
-  now:Time.t -> stream:string -> entitled:Time.span -> got:Time.span ->
+val cpu_stream : dom:string -> stream
+val usd_stream : stream:string -> stream
+
+val boundary :
+  stream -> now:Time.t -> entitled:Time.span -> got:Time.span ->
   backlogged:bool -> unit
+(** One period boundary: the client was entitled to [entitled] and
+    consumed [got]; [backlogged] means it had queued work for the
+    whole period. *)
 
 val mem_grant : now:Time.t -> dom:int -> guarantee:int -> capacity:int -> unit
 (** A frames contract was admitted (or re-registered). Flags

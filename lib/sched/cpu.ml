@@ -10,6 +10,7 @@ type client = {
      The QoS auditor treats a client as backlogged over a period only
      when this predates the period's start. *)
   mutable backlogged_since : Time.t option;
+  audit : Obs.Qos_audit.stream;
 }
 
 type t = {
@@ -43,8 +44,8 @@ let audit_boundary t e ~unused ~boundary ~grants:_ =
         | Some since -> since <= period_start
         | None -> false
       in
-      Obs.Qos_audit.cpu_boundary ~now:boundary ~dom:e.Edf.cname
-        ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
+      Obs.Qos_audit.boundary c.audit ~now:boundary ~entitled:e.Edf.slice
+        ~got:(e.Edf.slice - unused) ~backlogged
   end
 
 let create sim =
@@ -119,7 +120,8 @@ let admit t ~name ~period ~slice ?(extra = true) () =
   | Ok e ->
     let c =
       { edf = e; pending = Queue.create (); live = true;
-        backlogged_since = None }
+        backlogged_since = None;
+        audit = Obs.Qos_audit.cpu_stream ~dom:name }
     in
     if e.Edf.id = Array.length t.members then
       t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);

@@ -17,17 +17,33 @@ type t = {
   versions : (int, int) Hashtbl.t;
   compress_us : Time.span;
   decompress_us : Time.span;
+  obs : zram_obs;
+}
+
+and zram_obs = {
+  m_stored : Obs.Metrics.counter;
+  m_incompressible : Obs.Metrics.counter;
+  m_overflow : Obs.Metrics.counter;
+  m_hit : Obs.Metrics.counter;
+  m_miss : Obs.Metrics.counter;
+  hit_us : Obs.Metrics.histogram;
+  miss_us : Obs.Metrics.histogram;
 }
 
 let create ?(label = "zram") ?(compress_us = Time.us 3)
     ?(decompress_us = Time.us 2) ~zpool ~below () =
+  let c name = Obs.Metrics.counter ~label ("zram." ^ name) in
   { zpool; below; label; versions = Hashtbl.create 256; compress_us;
-    decompress_us }
+    decompress_us;
+    obs =
+      { m_stored = c "stored"; m_incompressible = c "incompressible";
+        m_overflow = c "overflow"; m_hit = c "hit"; m_miss = c "miss";
+        hit_us = Obs.Metrics.histogram "zram.hit_us";
+        miss_us = Obs.Metrics.histogram "zram.miss_us" } }
 
 let key_of t slot = t.label ^ ":" ^ string_of_int slot
 
-let metric t name =
-  if !Obs.enabled then Obs.Metrics.inc ~label:t.label ("zram." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.tick c
 
 (* ------------------------------------------------------------------ *)
 (* Writes: compress into the pool first, then ALWAYS write below —
@@ -43,9 +59,9 @@ let put_slot t slot =
   match Zpool.put t.zpool ~key ~data with
   | `Stored ->
     Proc.sleep t.compress_us;
-    metric t "stored"
-  | `Incompressible -> metric t "incompressible"
-  | `No_space -> metric t "overflow"
+    metric t.obs.m_stored
+  | `Incompressible -> metric t.obs.m_incompressible
+  | `No_space -> metric t.obs.m_overflow
 
 let drop_range t ~page_index ~npages =
   for s = page_index to page_index + npages - 1 do
@@ -116,7 +132,7 @@ let read_pages t ~page_index ~npages =
           /. float_of_int !run_len
         in
         for _ = 1 to !run_len do
-          Obs.Metrics.observe "zram.miss_us" per_page
+          Obs.Metrics.record t.obs.miss_us per_page
         done
       end;
       run_len := 0
@@ -130,12 +146,12 @@ let read_pages t ~page_index ~npages =
       (* exercise the exact-inverse pair so a broken codec faults loud *)
       if String.length data <> Zpool.page_bytes then
         invalid_arg "Sd_zram: decompressed page has wrong size";
-      metric t "hit";
+      metric t.obs.m_hit;
       Proc.sleep t.decompress_us;
       if !Obs.enabled then
-        Obs.Metrics.observe "zram.hit_us" (Time.to_us t.decompress_us)
+        Obs.Metrics.record t.obs.hit_us (Time.to_us t.decompress_us)
     | None ->
-      metric t "miss";
+      metric t.obs.m_miss;
       if !run_len = 0 then begin
         run_start := !s;
         run_len := 1

@@ -17,11 +17,13 @@ type t = {
   sg_frames : int option array;  (* page -> the one resident copy *)
   sg_fill : Time.span;
   mutable sg_fills : int;
+  sg_fill_m : Obs.Metrics.counter;
 }
 
 let create ~reg ~name ~npages ?(fill = Time.us 50) () =
   { sg_name = name; sg_reg = reg; sg_npages = npages;
-    sg_frames = Array.make npages None; sg_fill = fill; sg_fills = 0 }
+    sg_frames = Array.make npages None; sg_fill = fill; sg_fills = 0;
+    sg_fill_m = Obs.Metrics.counter "seg.fill" }
 
 let fills t = t.sg_fills
 
@@ -36,6 +38,7 @@ type attachment = {
   a_env : Stretch_driver.env;
   mutable a_stretch : Stretch.t option;
   a_mapped : bool array;
+  a_hit_m : Obs.Metrics.counter;  (* labelled with the domain's name *)
 }
 
 exception Not_bound of { driver : string }
@@ -52,10 +55,6 @@ let the_stretch a =
   | Some s -> s
   | None -> raise (Not_bound { driver = "Seg" })
 
-let metric a name =
-  if !Obs.enabled then
-    Obs.Metrics.inc ~label:a.a_env.Stretch_driver.domain_name name
-
 let map_resident a page =
   match a.a_seg.sg_frames.(page) with
   | None -> false
@@ -67,7 +66,7 @@ let map_resident a page =
      with
     | Ok () ->
       a.a_mapped.(page) <- true;
-      metric a "seg.hit";
+      if !Obs.enabled then Obs.Metrics.tick a.a_hit_m;
       true
     | Error _ -> false)
 
@@ -116,7 +115,7 @@ let full a (fault : Fault.t) =
           | None ->
             seg.sg_frames.(page) <- Some pfn;
             seg.sg_fills <- seg.sg_fills + 1;
-            if !Obs.enabled then Obs.Metrics.inc "seg.fill");
+            if !Obs.enabled then Obs.Metrics.tick seg.sg_fill_m);
           if map_resident a page then Stretch_driver.Success
           else Stretch_driver.Failure "segment: shared map failed")
 
@@ -159,7 +158,10 @@ let attach t (d : System.domain) =
     Pdom.clear (Domains.pdom d.System.dom) ~sid:stretch.Stretch.sid;
     let a =
       { a_seg = t; a_env = d.System.env; a_stretch = None;
-        a_mapped = Array.make t.sg_npages false }
+        a_mapped = Array.make t.sg_npages false;
+        a_hit_m =
+          Obs.Metrics.counter ~label:d.System.env.Stretch_driver.domain_name
+            "seg.hit" }
     in
     System.bind_driver d stretch (driver a);
     Domains.on_kill d.System.dom (fun () -> detach a);

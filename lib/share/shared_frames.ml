@@ -18,6 +18,14 @@ type t = {
   mutable grants : int;
   mutable breaks : int;
   mutable detaches : int;
+  obs : share_obs;
+}
+
+and share_obs = {
+  m_install : Obs.Metrics.counter;
+  m_grant : Obs.Metrics.counter;
+  m_break : Obs.Metrics.counter;
+  m_detach : Obs.Metrics.counter;
 }
 
 type error = Map_failed of Translation.error
@@ -28,11 +36,15 @@ let create sys ~guarantee =
   | Ok (_, client) ->
     Ok
       { sys; client; by_pfn = Hashtbl.create 64; installs = 0;
-        frees = 0; grants = 0; breaks = 0; detaches = 0 }
+        frees = 0; grants = 0; breaks = 0; detaches = 0;
+        obs =
+          (let c name = Obs.Metrics.counter ("share." ^ name) in
+           { m_install = c "install"; m_grant = c "grant"; m_break = c "break";
+             m_detach = c "detach" }) }
 
 let client t = t.client
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("share." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.tick c
 
 (* Fill a fresh host-owned frame to share. The frame starts [Unused]
    on the host's stack; the first map_shared flips it Mapped and sets
@@ -43,7 +55,7 @@ let alloc_shared t ~on_free =
   | Some pfn ->
     Hashtbl.replace t.by_pfn pfn on_free;
     t.installs <- t.installs + 1;
-    metric "install";
+    metric t.obs.m_install;
     Some pfn
 
 (* Adopt a settled frame from a tenant's stack (the CoW freeze path:
@@ -55,7 +67,7 @@ let adopt_frame t ~src ~pfn ~on_free =
   | Ok () ->
     Hashtbl.replace t.by_pfn pfn on_free;
     t.installs <- t.installs + 1;
-    metric "install";
+    metric t.obs.m_install;
     Ok ()
 
 (* Race loser: an allocated frame that never got mapped (another
@@ -71,7 +83,7 @@ let map t ~pdom ~va ~pfn ~charge =
   | Ok cost ->
     charge cost;
     t.grants <- t.grants + 1;
-    metric "grant";
+    metric t.obs.m_grant;
     Ok ()
 
 (* Drop one domain's reference. When the last reference goes the
@@ -86,10 +98,10 @@ let unmap t ~pdom ~va ~reason ~charge =
     (match reason with
     | `Break ->
       t.breaks <- t.breaks + 1;
-      metric "break"
+      metric t.obs.m_break
     | `Detach ->
       t.detaches <- t.detaches + 1;
-      metric "detach");
+      metric t.obs.m_detach);
     if remaining = 0 then begin
       let pfn = Pte.pfn pte in
       (match Hashtbl.find_opt t.by_pfn pfn with

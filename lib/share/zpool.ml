@@ -104,6 +104,15 @@ type t = {
   mutable dropped : int;
   mutable shed_frames : int;
   mutable bursts : int;
+  obs : zpool_obs;
+}
+
+and zpool_obs = {
+  m_shed_frame : Obs.Metrics.counter;
+  m_revoked_frame : Obs.Metrics.counter;
+  m_incompressible : Obs.Metrics.counter;
+  m_overflow : Obs.Metrics.counter;
+  m_stored : Obs.Metrics.counter;
 }
 
 (* Only the frames whose compressed payload halves (or better) earn a
@@ -127,7 +136,7 @@ let stats t =
     z_overflow = t.overflow; z_dropped = t.dropped;
     z_shed_frames = t.shed_frames; z_bursts = t.bursts }
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("zpool." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.tick c
 
 let drop_frame_entries t fr =
   List.iter
@@ -149,7 +158,7 @@ let shed_one t =
     Ramtab.set_state t.ramtab ~pfn:fr.f_pfn Ramtab.Unused;
     Frames.free t.frames t.client fr.f_pfn;
     t.shed_frames <- t.shed_frames + 1;
-    metric "shed_frame";
+    metric t.obs.m_shed_frame;
     true
 
 let shed_to_budget t =
@@ -179,7 +188,7 @@ let expose_for_revocation t ~k =
       Ramtab.set_state t.ramtab ~pfn:fr.f_pfn Ramtab.Unused;
       Frame_stack.move_to_top stack fr.f_pfn;
       t.shed_frames <- t.shed_frames + 1;
-      metric "revoked_frame"
+      metric t.obs.m_revoked_frame
     | [] -> ());
     incr n
   done
@@ -210,7 +219,12 @@ let create ~sim ~frames ~client ~ramtab ~budget () =
   let t =
     { frames; client; ramtab; budget; entries = Hashtbl.create 256;
       held = []; stored = 0; incompressible = 0; overflow = 0; dropped = 0;
-      shed_frames = 0; bursts = 0 }
+      shed_frames = 0; bursts = 0;
+      obs =
+        (let c name = Obs.Metrics.counter ("zpool." ^ name) in
+         { m_shed_frame = c "shed_frame"; m_revoked_frame = c "revoked_frame";
+           m_incompressible = c "incompressible"; m_overflow = c "overflow";
+           m_stored = c "stored" }) }
   in
   Frames.set_revocation_handler client (fun ~k ~deadline:_ ->
       expose_for_revocation t ~k;
@@ -261,21 +275,21 @@ let put t ~key ~data =
   let size = String.length z in
   if size > max_entry_bytes then begin
     t.incompressible <- t.incompressible + 1;
-    metric "incompressible";
+    metric t.obs.m_incompressible;
     `Incompressible
   end
   else
     match place t size with
     | None ->
       t.overflow <- t.overflow + 1;
-      metric "overflow";
+      metric t.obs.m_overflow;
       `No_space
     | Some fr ->
       fr.f_used <- fr.f_used + size;
       fr.f_keys <- key :: fr.f_keys;
       Hashtbl.replace t.entries key { e_data = z; e_frame = fr.f_pfn };
       t.stored <- t.stored + 1;
-      metric "stored";
+      metric t.obs.m_stored;
       `Stored
 
 let get t ~key =

@@ -22,6 +22,11 @@ type node = {
   mutable nd_stores : int; (* entries this node acked *)
   mutable nd_serves : int; (* reads this node answered *)
   mutable nd_failovers : int; (* reads it answered as a failover *)
+  (* ["fleet.node.*"] gauges, labelled with the node's name *)
+  g_used_pages : Obs.Metrics.gauge;
+  g_member : Obs.Metrics.gauge;
+  g_quarantined : Obs.Metrics.gauge;
+  g_streak : Obs.Metrics.gauge;
 }
 
 type t = {
@@ -71,6 +76,30 @@ type t = {
   mutable s_probe_failures : int;
   mutable s_wipes_applied : int;
   mutable s_repair_rounds : int;
+  obs : fleet_obs;
+}
+
+(* The fleet-wide ["fleet.*"] counters. *)
+and fleet_obs = {
+  m_quarantine : Obs.Metrics.counter;
+  m_readmit : Obs.Metrics.counter;
+  m_node_join : Obs.Metrics.counter;
+  m_node_retire : Obs.Metrics.counter;
+  m_wipe : Obs.Metrics.counter;
+  m_retransmit : Obs.Metrics.counter;
+  m_corrupt_shard : Obs.Metrics.counter;
+  m_probe : Obs.Metrics.counter;
+  m_store : Obs.Metrics.counter;
+  m_migrate : Obs.Metrics.counter;
+  m_shard_rebuild : Obs.Metrics.counter;
+  m_rebuild : Obs.Metrics.counter;
+  m_secondary_rebuild : Obs.Metrics.counter;
+  m_remote_full : Obs.Metrics.counter;
+  m_lost_primary : Obs.Metrics.counter;
+  m_failover : Obs.Metrics.counter;
+  m_lost_shard : Obs.Metrics.counter;
+  m_degraded_read : Obs.Metrics.counter;
+  demote_recovery : Inject.recovery;
 }
 
 type stats = {
@@ -126,6 +155,12 @@ type view = {
   owner : string;
   mutable sx_write_fallbacks : int;
   mutable sx_clean_skips : int;
+  (* per-domain handles: counters under [owner], the degraded-read
+     histogram under [label] *)
+  m_disk_fallback : Obs.Metrics.counter;
+  m_cache_hit : Obs.Metrics.counter;
+  m_hit : Obs.Metrics.counter;
+  degraded_us : Obs.Metrics.histogram;
 }
 
 type store = { cache : Cache.t; view : view }
@@ -141,18 +176,15 @@ type store_stats = {
   st_lost_slots : int;
 }
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("fleet." ^ name)
-
-let smetric v name =
-  if !Obs.enabled then Obs.Metrics.inc ~label:v.owner ("fleet." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.tick c
 
 let node_gauges nd =
   if !Obs.enabled then begin
-    let g n v = Obs.Metrics.set_gauge ~label:nd.nd_name ("fleet.node." ^ n) v in
-    g "used_pages" (float_of_int (Remote_node.used_pages nd.nd_remote));
-    g "member" (if nd.nd_member then 1.0 else 0.0);
-    g "quarantined" (if nd.nd_quarantined then 1.0 else 0.0);
-    g "streak" (float_of_int nd.nd_streak)
+    let g = Obs.Metrics.set in
+    g nd.g_used_pages (float_of_int (Remote_node.used_pages nd.nd_remote));
+    g nd.g_member (if nd.nd_member then 1.0 else 0.0);
+    g nd.g_quarantined (if nd.nd_quarantined then 1.0 else 0.0);
+    g nd.g_streak (float_of_int nd.nd_streak)
   end
 
 (* Which shard an entry at stripe position [p] is keyed as at the
@@ -224,7 +256,7 @@ let quarantine t nd =
     nd.nd_quarantines <- nd.nd_quarantines + 1;
     t.s_quarantines <- t.s_quarantines + 1;
     nd.nd_next_probe <- Time.add (Sim.now t.sim) t.probe_period;
-    metric "quarantine";
+    metric t.obs.m_quarantine;
     node_gauges nd
   end
 
@@ -239,7 +271,7 @@ let readmit t nd =
   nd.nd_streak <- 0;
   nd.nd_readmissions <- nd.nd_readmissions + 1;
   t.s_readmissions <- t.s_readmissions + 1;
-  metric "readmit";
+  metric t.obs.m_readmit;
   node_gauges nd
 
 let find_node t name =
@@ -248,13 +280,13 @@ let find_node t name =
 let apply_join t nd =
   nd.nd_member <- true;
   t.s_node_joins <- t.s_node_joins + 1;
-  metric "node_join";
+  metric t.obs.m_node_join;
   node_gauges nd
 
 let apply_retire t nd =
   nd.nd_member <- false;
   t.s_node_retires <- t.s_node_retires + 1;
-  metric "node_retire";
+  metric t.obs.m_node_retire;
   node_gauges nd
 
 let add_node t ~name =
@@ -290,7 +322,7 @@ let poll_faults t =
       if Inject.node_wipe_due ~name:nd.nd_name ~now then begin
         Remote_node.wipe nd.nd_remote;
         t.s_wipes_applied <- t.s_wipes_applied + 1;
-        metric "wipe";
+        metric t.obs.m_wipe;
         node_gauges nd
       end;
       if (not nd.nd_member) && Inject.node_join_due ~name:nd.nd_name ~now then
@@ -350,7 +382,7 @@ let send_frag t nd client ~retries bytes =
           t.s_lost_packets <- t.s_lost_packets + 1;
           if left > 0 then begin
             t.s_retransmits <- t.s_retransmits + 1;
-            metric "retransmit";
+            metric t.obs.m_retransmit;
             Proc.sleep (backoff ~base:t.retx_timeout ~attempt:n);
             attempt (left - 1) (n + 1)
           end
@@ -439,7 +471,7 @@ let fetch_shard t nd client ~retries ~shard ~owner ~slot =
   | `Ok ->
       if Inject.shard_corrupt ~name:nd.nd_name then begin
         t.s_corrupt_shards <- t.s_corrupt_shards + 1;
-        metric "corrupt_shard";
+        metric t.obs.m_corrupt_shard;
         `Corrupt
       end
       else `Ok
@@ -450,7 +482,7 @@ let fetch_shard t nd client ~retries ~shard ~owner ~slot =
 
 let probe t nd =
   t.s_probes <- t.s_probes + 1;
-  metric "probe";
+  metric t.obs.m_probe;
   match send_frag t nd nd.nd_repair ~retries:0 64 with
   | Ok () ->
       Proc.sleep (Remote_node.service_time nd.nd_remote);
@@ -499,7 +531,7 @@ let rebuild_shard t ~reps ~owner ~slot ~p ~dst =
       with
       | `Acked ->
           t.s_stores <- t.s_stores + 1;
-          metric "store";
+          metric t.obs.m_store;
           `Acked
       | (`Full | `Timeout) as e -> e
   in
@@ -596,7 +628,7 @@ let repair_round t =
                      Remote_node.drop cur_nd.nd_remote ~shard:(shard_of t p)
                        ~owner ~slot;
                      t.s_migrations <- t.s_migrations + 1;
-                     metric "migrate"
+                     metric t.obs.m_migrate
                    end
                    else
                      match t.ec with
@@ -604,18 +636,18 @@ let repair_round t =
                          (* a lost shard observed and answered here *)
                          t.s_lost_shards <- t.s_lost_shards + 1;
                          t.s_rebuilds <- t.s_rebuilds + 1;
-                         metric "shard_rebuild"
+                         metric t.obs.m_shard_rebuild
                      | None ->
                          if p = 0 then begin
                            (* the primary was gone and repair answered *)
                            t.s_lost_primaries <- t.s_lost_primaries + 1;
                            t.s_rebuilds <- t.s_rebuilds + 1;
-                           metric "rebuild"
+                           metric t.obs.m_rebuild
                          end
                          else begin
                            t.s_secondary_rebuilds <-
                              t.s_secondary_rebuilds + 1;
-                           metric "secondary_rebuild"
+                           metric t.obs.m_secondary_rebuild
                          end);
                   reps.(p) <- tgt
               | `No_source | `Full | `Timeout | `Stale | `Corrupt -> ()
@@ -667,6 +699,7 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
             ("Fleet.create: repair client refused: "
             ^ Usnet.Link.admit_error_message e)
     in
+    let gauge n = Obs.Metrics.gauge ~label:name ("fleet.node." ^ n) in
     { nd_idx = i;
       nd_name = name;
       nd_remote = remote;
@@ -680,7 +713,11 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       nd_readmissions = 0;
       nd_stores = 0;
       nd_serves = 0;
-      nd_failovers = 0 }
+      nd_failovers = 0;
+      g_used_pages = gauge "used_pages";
+      g_member = gauge "member";
+      g_quarantined = gauge "quarantined";
+      g_streak = gauge "streak" }
   in
   let all =
     List.mapi (mk_node true) nodes
@@ -725,7 +762,28 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       s_probes = 0;
       s_probe_failures = 0;
       s_wipes_applied = 0;
-      s_repair_rounds = 0 }
+      s_repair_rounds = 0;
+      obs =
+        (let c n = Obs.Metrics.counter ("fleet." ^ n) in
+         { m_quarantine = c "quarantine";
+           m_readmit = c "readmit";
+           m_node_join = c "node_join";
+           m_node_retire = c "node_retire";
+           m_wipe = c "wipe";
+           m_retransmit = c "retransmit";
+           m_corrupt_shard = c "corrupt_shard";
+           m_probe = c "probe";
+           m_store = c "store";
+           m_migrate = c "migrate";
+           m_shard_rebuild = c "shard_rebuild";
+           m_rebuild = c "rebuild";
+           m_secondary_rebuild = c "secondary_rebuild";
+           m_remote_full = c "remote_full";
+           m_lost_primary = c "lost_primary";
+           m_failover = c "failover";
+           m_lost_shard = c "lost_shard";
+           m_degraded_read = c "degraded_read";
+           demote_recovery = Inject.recovery "fleet.demote" }) }
   in
   if repair then
     ignore
@@ -799,7 +857,7 @@ let demote v s ~dirty =
     else if not (Remote_node.has_room nd.nd_remote) then begin
       (* known-full before any byte moves *)
       t.s_remote_fulls <- t.s_remote_fulls + 1;
-      metric "remote_full"
+      metric t.obs.m_remote_full
     end
     else
       match
@@ -810,10 +868,10 @@ let demote v s ~dirty =
           incr placed;
           acked.(p) <- true;
           t.s_stores <- t.s_stores + 1;
-          metric "store"
+          metric t.obs.m_store
       | `Full ->
           t.s_remote_fulls <- t.s_remote_fulls + 1;
-          metric "remote_full"
+          metric t.obs.m_remote_full
       | `Timeout -> t.s_replica_timeouts <- t.s_replica_timeouts + 1
   in
   in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
@@ -857,7 +915,7 @@ let fetch_replicated v s reps =
   | `Ok -> `Served
   | `Skip | `Stale | `Timeout | `Corrupt ->
       t.s_lost_primaries <- t.s_lost_primaries + 1;
-      metric "lost_primary";
+      metric t.obs.m_lost_primary;
       let rec failover p =
         if p >= Array.length reps then `All_lost 1
         else
@@ -866,7 +924,7 @@ let fetch_replicated v s reps =
               t.s_failovers <- t.s_failovers + 1;
               t.nodes.(reps.(p)).nd_failovers <-
                 t.nodes.(reps.(p)).nd_failovers + 1;
-              metric "failover";
+              metric t.obs.m_failover;
               `Served
           | `Skip | `Stale | `Timeout | `Corrupt -> failover (p + 1)
       in
@@ -891,7 +949,7 @@ let fetch_erasure v s reps c =
     let nd = t.nodes.(i) in
     if nd.nd_quarantined then begin
       incr losses;
-      metric "lost_shard"
+      metric t.obs.m_lost_shard
     end
     else
       match
@@ -903,7 +961,7 @@ let fetch_erasure v s reps c =
           nd.nd_serves <- nd.nd_serves + 1
       | `Stale | `Timeout | `Corrupt ->
           incr losses;
-          metric "lost_shard"
+          metric t.obs.m_lost_shard
   in
   (* Gather in parallel rounds: the k lowest live positions first
      (data shards — the systematic fast path needs no decode), then
@@ -923,9 +981,9 @@ let fetch_erasure v s reps c =
       (* the GF(256) decode itself is CPU noise next to the wire *)
       t.s_degraded_reads <- t.s_degraded_reads + 1;
       t.s_reconstructions <- t.s_reconstructions + !losses;
-      metric "degraded_read";
+      metric t.obs.m_degraded_read;
       if !Obs.enabled then
-        Obs.Metrics.observe ~label:v.label "fleet.degraded_us"
+        Obs.Metrics.record v.degraded_us
           (Time.to_us (Sim.now t.sim) -. t0)
     end;
     `Served
@@ -950,7 +1008,7 @@ let fetch v s ~on_disk:_ =
   | `Served -> true
   | `All_lost n ->
       t.s_disk_fallbacks <- t.s_disk_fallbacks + n;
-      smetric v "disk_fallback";
+      metric v.m_disk_fallback;
       false
 
 let lower v =
@@ -960,22 +1018,28 @@ let lower v =
     forget = drop_fleet v;
     note =
       (function
-      | Cache.Cache_hit -> smetric v "cache_hit"
-      | Cache.Promote -> smetric v "hit"
+      | Cache.Cache_hit -> metric v.m_cache_hit
+      | Cache.Promote -> metric v.m_hit
       | Cache.Miss | Cache.Demote -> ()
-      | Cache.Floor_lost -> Inject.note_killed "fleet.demote") }
+      | Cache.Floor_lost -> Inject.note_killed v.fl.obs.demote_recovery) }
 
 let attach ?(mode = Cache.Write_through) ?(cache_pages = 32)
     ?(label = "fleet") t ~clients ~swap () =
   if Array.length clients <> Array.length t.nodes then
     invalid_arg "Fleet.attach: need one admitted client per node";
+  let owner = Usbs.Sfs.swap_name swap in
+  let counter n = Obs.Metrics.counter ~label:owner ("fleet." ^ n) in
   let view =
     { fl = t;
       label;
       clients;
-      owner = Usbs.Sfs.swap_name swap;
+      owner;
       sx_write_fallbacks = 0;
-      sx_clean_skips = 0 }
+      sx_clean_skips = 0;
+      m_disk_fallback = counter "disk_fallback";
+      m_cache_hit = counter "cache_hit";
+      m_hit = counter "hit";
+      degraded_us = Obs.Metrics.histogram ~label "fleet.degraded_us" }
   in
   { cache = Cache.create ~mode ~cache_pages ~label ~swap (lower view); view }
 

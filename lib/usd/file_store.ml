@@ -17,6 +17,8 @@ type t = {
   region_len : int;
   journal : Journal.t option;
   mutable jdegraded : bool;
+  journal_degraded : Obs.Metrics.counter;
+  recovery : Inject.recovery;
 }
 
 let page_bytes = 8192
@@ -53,7 +55,9 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
     files = Hashtbl.create 16;
     page_blocks = page_bytes / params.Disk_params.block_size;
     region_first = first_block; region_len = nblocks;
-    journal; jdegraded = false }
+    journal; jdegraded = false;
+    journal_degraded = Obs.Metrics.counter "fs.journal_degraded";
+    recovery = Inject.recovery "file_store" }
 
 let free_blocks t = Extents.free_blocks t.extents
 
@@ -71,7 +75,7 @@ let journal_append t ~site record : (unit, [ `Crashed ]) result =
         | Error `Crashed -> Error `Crashed
         | Error `Full | Error `Io ->
             t.jdegraded <- true;
-            if !Obs.enabled then Obs.Metrics.inc "fs.journal_degraded";
+            if !Obs.enabled then Obs.Metrics.tick t.journal_degraded;
             Ok ()
       end
 
@@ -199,10 +203,10 @@ let rw t f ~client op ~page_index =
     with
     | Ok () -> Ok ()
     | Error (`Media m) when (not m.Usd.persistent) && attempt < 3 ->
-      Inject.note_retried "file_store";
+      Inject.note_retried t.recovery;
       go ~attempt:(attempt + 1)
     | Error (`Media m) ->
-      Inject.note_killed "file_store";
+      Inject.note_killed t.recovery;
       Error (`Media m)
     | Error `Cancelled | Error `Retired -> Error `Retired
   in

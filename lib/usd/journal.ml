@@ -34,16 +34,31 @@ type t = {
      concurrent appenders would read the same head, write the same
      bloks and leave holes when both advance it. *)
   lock : Sync.Semaphore.t;
+  obs : journal_obs;
+}
+
+and journal_obs = {
+  m_full : Obs.Metrics.counter;
+  m_torn_appends : Obs.Metrics.counter;
+  m_appends : Obs.Metrics.counter;
+  m_io_errors : Obs.Metrics.counter;
+  m_torn_found : Obs.Metrics.counter;
+  recovery : Inject.recovery;
 }
 
 let create ~u ~client ~first ~nblocks =
   if nblocks <= 0 then invalid_arg "Journal.create: empty region";
   let dm = Usd.disk u in
+  let c name = Obs.Metrics.counter ("journal." ^ name) in
   { u; client; dm;
     first; nblocks;
     block_size = (Disk_model.params dm).Disk_params.block_size;
     head = 0; seq = 0; full = false; appended = 0;
-    lock = Sync.Semaphore.create 1 }
+    lock = Sync.Semaphore.create 1;
+    obs =
+      { m_full = c "full"; m_torn_appends = c "torn_appends";
+        m_appends = c "appends"; m_io_errors = c "io_errors";
+        m_torn_found = c "torn_found"; recovery = Inject.recovery "journal" } }
 
 let first_block t = t.first
 let nblocks t = t.nblocks
@@ -206,7 +221,7 @@ let bloks_of_string t s =
 
 type append_error = [ `Crashed | `Full | `Io ]
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("journal." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.tick c
 
 let store_bloks t ~at bloks =
   List.iteri (fun i b -> Disk_model.store t.dm ~lba:(at + i) b) bloks
@@ -221,7 +236,7 @@ let append_locked t ~site record : (unit, append_error) result =
     let nb = List.length bloks in
     if t.head + nb > t.nblocks then begin
       t.full <- true;
-      metric "full";
+      metric t.obs.m_full;
       Error `Full
     end
     else begin
@@ -233,7 +248,7 @@ let append_locked t ~site record : (unit, append_error) result =
              rest never do. The head does not advance — a later append
              (or the remount quarantine) overwrites the tear. *)
           store_bloks t ~at:lba (List.filteri (fun i _ -> i < k) bloks);
-          metric "torn_appends";
+          metric t.obs.m_torn_appends;
           Error `Crashed
       | None ->
           let rec go attempt =
@@ -243,21 +258,21 @@ let append_locked t ~site record : (unit, append_error) result =
                 t.head <- t.head + nb;
                 t.seq <- t.seq + 1;
                 t.appended <- t.appended + 1;
-                metric "appends";
+                metric t.obs.m_appends;
                 Ok ()
             | Error (`Media m) ->
                 if m.Usd.persistent || attempt >= max_retries then begin
-                  Inject.note_killed "journal";
-                  metric "io_errors";
+                  Inject.note_killed t.obs.recovery;
+                  metric t.obs.m_io_errors;
                   Error `Io
                 end
                 else begin
-                  Inject.note_retried "journal";
+                  Inject.note_retried t.obs.recovery;
                   Proc.sleep (Time.ms (1 lsl attempt));
                   go (attempt + 1)
                 end
             | Error `Cancelled | Error `Retired ->
-                metric "io_errors";
+                metric t.obs.m_io_errors;
                 Error `Io
           in
           go 0
@@ -350,7 +365,7 @@ let replay_locked t =
      journal scan like any other client. *)
   if !pos > 0 then
     ignore (Usd.transact t.u t.client Usd.Read ~lba:t.first ~nblocks:!pos);
-  if !torn > 0 then metric "torn_found";
+  if !torn > 0 then metric t.obs.m_torn_found;
   ( List.rev !records,
     { rp_replayed = List.length !records; rp_torn = !torn; rp_scanned = !pos }
   )

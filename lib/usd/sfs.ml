@@ -41,6 +41,14 @@ and t = {
      durability rather than killing pagers. *)
   mutable jdegraded : bool;
   swaps : (string, swapfile) Hashtbl.t;
+  obs : sfs_obs;
+}
+
+and sfs_obs = {
+  m_journal_degraded : Obs.Metrics.counter;
+  m_remounts : Obs.Metrics.counter;
+  read_recovery : Inject.recovery;
+  write_recovery : Inject.recovery;
 }
 
 let page_bytes = 8192
@@ -80,7 +88,12 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
   { u; dm;
     region_first = first_block; region_len = nblocks;
     block_size = (Disk_model.params dm).Disk_params.block_size;
-    extents; journal; jdegraded = false; swaps = Hashtbl.create 7 }
+    extents; journal; jdegraded = false; swaps = Hashtbl.create 7;
+    obs =
+      { m_journal_degraded = Obs.Metrics.counter "sfs.journal_degraded";
+        m_remounts = Obs.Metrics.counter "sfs.remounts";
+        read_recovery = Inject.recovery "sfs.read";
+        write_recovery = Inject.recovery "sfs.write" } }
 
 let free_blocks t = Extents.free_blocks t.extents
 
@@ -98,7 +111,7 @@ let journal_append t ~site record : (unit, [ `Crashed ]) result =
         | Error `Crashed -> Error `Crashed
         | Error `Full | Error `Io ->
             t.jdegraded <- true;
-            if !Obs.enabled then Obs.Metrics.inc "sfs.journal_degraded";
+            if !Obs.enabled then Obs.Metrics.tick t.obs.m_journal_degraded;
             Ok ()
       end
 
@@ -289,7 +302,9 @@ let stamp_write sf ~page_index ~npages =
 
 type io_error = [ `Lost_pages of int list | `Retired | `Crashed ]
 
-let op_class = function Usd.Read -> "sfs.read" | Usd.Write -> "sfs.write"
+let recovery_of sf = function
+  | Usd.Read -> sf.fs.obs.read_recovery
+  | Usd.Write -> sf.fs.obs.write_recovery
 
 (* Journal a spare remap as an intent — durable before the remap table
    mutates — then install it. *)
@@ -336,14 +351,14 @@ let rw_page sf op ~page_index =
       | Error (`Media m) ->
         if (not m.Usd.persistent) && attempt < max_retries then begin
           sf.retries <- sf.retries + 1;
-          Inject.note_retried (op_class op);
+          Inject.note_retried (recovery_of sf op);
           Proc.sleep (backoff_base * (1 lsl attempt));
           go ~attempt:(attempt + 1)
         end
         else if m.Usd.persistent && op = Usd.Write then begin
           match journal_remap sf page_index with
           | `Ok _ ->
-            Inject.note_remapped (op_class op);
+            Inject.note_remapped (recovery_of sf op);
             (* Fresh attempt budget at the spare location. *)
             go ~attempt:0
           | `Crashed -> Error `Crashed
@@ -362,7 +377,7 @@ let rw_page sf op ~page_index =
             (* Persistent read error (the sector under the data is
                gone) or a marginal sector that outlasted the retry
                budget: no layer above can conjure the data back. *)
-            Inject.note_killed (op_class op)
+            Inject.note_killed (recovery_of sf op)
           | Usd.Write ->
             (* Transient-exhausted write: as above, the caller decides
                and accounts. *)
@@ -426,7 +441,7 @@ let rw_pages sf op ~page_index ~npages =
       | Error (`Media _) ->
         (* One injected error answered by one degradation: the coalesced
            transaction is abandoned and re-issued page-at-a-time. *)
-        Inject.note_degraded (op_class op);
+        Inject.note_degraded (recovery_of sf op);
         split ()
 
 let read_page sf ~page_index = rw_page sf Usd.Read ~page_index
@@ -580,7 +595,7 @@ let remount t =
     Hashtbl.iter (fun name sf -> Hashtbl.replace t.swaps name sf) keep;
     t.extents <- extents;
     t.jdegraded <- false;
-    if !Obs.enabled then Obs.Metrics.inc "sfs.remounts";
+    if !Obs.enabled then Obs.Metrics.tick t.obs.m_remounts;
     Ok
       { rm_replayed = rp.Journal.rp_replayed;
         rm_torn = rp.Journal.rp_torn;

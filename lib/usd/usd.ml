@@ -39,6 +39,18 @@ type client = {
   (* Instant the channel last went non-empty; None while empty. Used
      by the QoS auditor's backlogged-for-a-whole-period test. *)
   mutable backlogged_since : Time.t option;
+  obs : client_obs;
+}
+
+(* Obs handles, built at admission under the client's name. *)
+and client_obs = {
+  bytes : Obs.Metrics.counter;
+  budget_txns : Obs.Metrics.counter;
+  slack_txns : Obs.Metrics.counter;
+  txn_errors : Obs.Metrics.counter;
+  txn_us : Obs.Metrics.histogram;
+  lax_ns : Obs.Metrics.counter;
+  audit : Obs.Qos_audit.stream;
 }
 
 type t = {
@@ -71,8 +83,8 @@ let audit_boundary t e ~unused ~boundary ~grants:_ =
         | Some since -> since <= period_start
         | None -> false
       in
-      Obs.Qos_audit.usd_boundary ~now:boundary ~stream:e.Edf.cname
-        ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
+      Obs.Qos_audit.boundary c.obs.audit ~now:boundary ~entitled:e.Edf.slice
+        ~got:(e.Edf.slice - unused) ~backlogged
   end
 
 let create ?(rollover = true) ?(laxity_enabled = true) sim dm =
@@ -150,16 +162,16 @@ let execute_txn t (c : client) ~slack =
   in
   Trace.record t.events (Sim.now t.sim) ev;
   if !Obs.enabled then begin
-    let label = client_name c in
+    let m = c.obs in
     let nbytes =
       req.nblocks * (Disk_model.params t.dm).Disk_params.block_size
     in
-    Obs.Metrics.add ~label "usd.bytes" nbytes;
-    Obs.Metrics.inc ~label (if slack then "usd.slack_txns" else "usd.txns");
+    Obs.Metrics.bump m.bytes nbytes;
+    Obs.Metrics.tick (if slack then m.slack_txns else m.budget_txns);
     (match result with
-    | Error _ -> Obs.Metrics.inc ~label "usd.txn_errors"
+    | Error _ -> Obs.Metrics.tick m.txn_errors
     | Ok _ -> ());
-    Obs.Metrics.observe ~label "usd.txn_us" (float_of_int dur /. 1e3)
+    Obs.Metrics.record m.txn_us (float_of_int dur /. 1e3)
   end;
   match result with
   | Ok _ -> Sync.Ivar.fill req.completion (Ok ())
@@ -190,7 +202,7 @@ let lax_wait t (c : client) =
       Trace.record t.events (Sim.now t.sim)
         (Lax { client = client_name c; dur = elapsed });
       if !Obs.enabled then
-        Obs.Metrics.add ~label:(client_name c) "usd.lax_ns" elapsed;
+        Obs.Metrics.bump c.obs.lax_ns elapsed;
       if c.lax_left <= 0 then c.idled <- true
     end
   end
@@ -248,7 +260,15 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
     let c =
       { edf = e; cqos = qos; channel = Io_channel.create ~depth:channel_depth;
         lax_left = qos.Qos.laxity; idled = false; live = true; txns = 0;
-        lax_used = 0; backlogged_since = None }
+        lax_used = 0; backlogged_since = None;
+        obs =
+          (let counter = Obs.Metrics.counter ~label:name in
+           { bytes = counter "usd.bytes"; budget_txns = counter "usd.txns";
+             slack_txns = counter "usd.slack_txns";
+             txn_errors = counter "usd.txn_errors";
+             txn_us = Obs.Metrics.histogram ~label:name "usd.txn_us";
+             lax_ns = counter "usd.lax_ns";
+             audit = Obs.Qos_audit.usd_stream ~stream:name }) }
     in
     if e.Edf.id = Array.length t.members then
       t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);

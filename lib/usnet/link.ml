@@ -34,6 +34,9 @@ type client = {
   mutable live : bool;
   mutable sent_bytes : int;
   mutable lax_used : Time.span;
+  (* Obs gauges, labelled "<link>.<client>" once at admission. *)
+  tx_bytes : Obs.Metrics.gauge;
+  queue_depth : Obs.Metrics.gauge;
 }
 
 type t = {
@@ -84,12 +87,10 @@ let replenish t ~now =
       t.members
   | _ -> ()
 
-let gauges t (c : client) =
+let gauges (c : client) =
   if !Obs.enabled then begin
-    let label = t.lname ^ "." ^ client_name c in
-    Obs.Metrics.set_gauge ~label "link.tx_bytes" (float_of_int c.sent_bytes);
-    Obs.Metrics.set_gauge ~label "link.queue_depth"
-      (float_of_int (Queue.length c.ring))
+    Obs.Metrics.set c.tx_bytes (float_of_int c.sent_bytes);
+    Obs.Metrics.set c.queue_depth (float_of_int (Queue.length c.ring))
   end
 
 let transmit_one t (c : client) ~slack =
@@ -104,7 +105,7 @@ let transmit_one t (c : client) ~slack =
   Trace.record t.events (Sim.now t.sim)
     (if slack then Slack_tx { client = client_name c; bytes = pkt.bytes; dur }
      else Tx { client = client_name c; bytes = pkt.bytes; dur });
-  gauges t c;
+  gauges c;
   Sync.Ivar.fill pkt.completion ()
 
 (* The earliest-deadline runnable client has nothing queued: a client
@@ -198,11 +199,14 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
                available = 1. -. before })
       else Error (Bad_qos { reason })
     | Ok e ->
+      let label = t.lname ^ "." ^ name in
       let c =
         { edf = e; ring = Queue.create (); depth = queue_depth;
           senders = Queue.create (); laxity; lax_left = laxity;
           idled = false; live = true; sent_bytes = 0;
-          lax_used = 0 }
+          lax_used = 0;
+          tx_bytes = Obs.Metrics.gauge ~label "link.tx_bytes";
+          queue_depth = Obs.Metrics.gauge ~label "link.queue_depth" }
       in
       if e.Edf.id = Array.length t.members then
         t.members <- Array.append t.members (Array.make (e.Edf.id + 1) None);
@@ -224,7 +228,7 @@ let send t (c : client) ~bytes =
       Proc.suspend (fun wake -> Queue.add wake c.senders);
     let completion = Sync.Ivar.create () in
     Queue.add { bytes; completion } c.ring;
-    gauges t c;
+    gauges c;
     Sync.Waitq.broadcast t.kick;
     Ok completion
   end

@@ -14,13 +14,17 @@ let checkb = Alcotest.(check bool)
 
 let metrics_counters_and_gauges () =
   Obs.Metrics.reset ();
-  Obs.Metrics.inc "requests";
-  Obs.Metrics.inc "requests";
-  Obs.Metrics.add ~label:"domA" "requests" 5;
+  let requests = Obs.Metrics.counter "requests" in
+  Obs.Metrics.tick requests;
+  Obs.Metrics.tick requests;
+  Obs.Metrics.bump (Obs.Metrics.counter ~label:"domA" "requests") 5;
   check "unlabelled counter" 2 (Obs.Metrics.counter_value "requests");
   check "labelled counter" 5 (Obs.Metrics.counter_value ~label:"domA" "requests");
   check "missing counter is 0" 0 (Obs.Metrics.counter_value "nonesuch");
-  Obs.Metrics.set_gauge "depth" 3.5;
+  (* Two handles on one name and label share the metric. *)
+  Obs.Metrics.tick (Obs.Metrics.counter "requests");
+  check "handles share a counter" 3 (Obs.Metrics.counter_value "requests");
+  Obs.Metrics.set (Obs.Metrics.gauge "depth") 3.5;
   Alcotest.(check (option (float 0.0))) "gauge" (Some 3.5)
     (Obs.Metrics.gauge_value "depth");
   Alcotest.(check (list string)) "labels_of" [ ""; "domA" ]
@@ -32,7 +36,7 @@ let metrics_histogram () =
   Obs.Metrics.reset ();
   let bounds = [| 1.0; 10.0; 100.0 |] in
   List.iter
-    (Obs.Metrics.observe ~label:"d" ~bounds "lat")
+    (Obs.Metrics.record (Obs.Metrics.histogram ~label:"d" ~bounds "lat"))
     [ 0.5; 5.0; 5.0; 50.0; 5000.0 ];
   (match Obs.Metrics.hist_view ~label:"d" "lat" with
   | None -> Alcotest.fail "histogram not registered"
@@ -40,6 +44,7 @@ let metrics_histogram () =
     check "count" 5 v.Obs.Metrics.hv_count;
     Alcotest.(check (float 0.0)) "min" 0.5 v.Obs.Metrics.hv_min;
     Alcotest.(check (float 0.0)) "max" 5000.0 v.Obs.Metrics.hv_max;
+    Alcotest.(check (float 1e-9)) "mean" 1012.1 v.Obs.Metrics.hv_mean;
     (* buckets: <=1: 1, <=10: 2, <=100: 1, overflow: 1 *)
     let counts = Array.map snd v.Obs.Metrics.hv_buckets in
     Alcotest.(check (array int)) "bucket counts" [| 1; 2; 1; 1 |] counts;
@@ -58,6 +63,118 @@ let metrics_histogram () =
     at 0
   in
   checkb "json mentions lat" true (contains (Obs.Metrics.to_json ()) "lat")
+
+(* A handle made before [Obs.reset] re-resolves on its next write:
+   what it wrote before the reset is gone, and what it writes after
+   lands in the new registry only. *)
+let handle_across_reset () =
+  Obs.reset ();
+  let c = Obs.Metrics.counter ~label:"d" "c"
+  and g = Obs.Metrics.gauge "g"
+  and h = Obs.Metrics.histogram "h" in
+  Obs.Metrics.bump c 7;
+  Obs.Metrics.set g 1.0;
+  Obs.Metrics.record h 3.0;
+  Obs.reset ();
+  check "reset drops the old count" 0 (Obs.Metrics.counter_value ~label:"d" "c");
+  Alcotest.(check (list string)) "nothing registered until the next write" []
+    (Obs.Metrics.labels_of "c");
+  Obs.Metrics.tick c;
+  Obs.Metrics.set g 2.0;
+  Obs.Metrics.record h 4.0;
+  check "counts only in the new registry" 1
+    (Obs.Metrics.counter_value ~label:"d" "c");
+  Alcotest.(check (option (float 0.0))) "gauge in the new registry" (Some 2.0)
+    (Obs.Metrics.gauge_value "g");
+  (match Obs.Metrics.hist_view "h" with
+  | Some v -> check "one sample in the new registry" 1 v.Obs.Metrics.hv_count
+  | None -> Alcotest.fail "histogram not re-registered");
+  (* The auditor's streams restart their streaks the same way: one bad
+     period before the reset and one after are not two in a row. *)
+  let s = Obs.Qos_audit.cpu_stream ~dom:"d" in
+  let bad () =
+    Obs.Qos_audit.boundary s ~now:(Time.ms 10) ~entitled:(Time.ms 10)
+      ~got:0 ~backlogged:true
+  in
+  bad ();
+  Obs.reset ();
+  bad ();
+  checkb "streak restarts at reset" true (Obs.Qos_audit.ok ());
+  bad ();
+  checkb "two in a row after it flag" false (Obs.Qos_audit.ok ());
+  Obs.reset ()
+
+let unused_handle_registers_nothing () =
+  Obs.Metrics.reset ();
+  ignore (Obs.Metrics.counter ~label:"d" "c");
+  ignore (Obs.Metrics.gauge "g");
+  ignore (Obs.Metrics.histogram "h");
+  Alcotest.(check string) "registry empty" "[\n\n]" (Obs.Metrics.to_json ())
+
+let kind_clash_raises () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set (Obs.Metrics.gauge ~label:"d" "x") 1.0;
+  let c = Obs.Metrics.counter ~label:"d" "x" in
+  Alcotest.check_raises "counter on a gauge"
+    (Invalid_argument "Metrics: \"x\" (label \"d\") is a gauge, not a counter")
+    (fun () -> Obs.Metrics.tick c);
+  let h = Obs.Metrics.histogram ~label:"d" "x" in
+  Alcotest.check_raises "histogram on a gauge"
+    (Invalid_argument
+       "Metrics: \"x\" (label \"d\") is a gauge, not a histogram")
+    (fun () -> Obs.Metrics.record h 1.0);
+  Obs.Metrics.reset ()
+
+(* Minor words per call, over 1000 calls after a warm-up call. *)
+let words_per_call f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  int_of_float (Gc.minor_words () -. before) / 1000
+
+let resolved_handles_allocate_nothing () =
+  Obs.Metrics.reset ();
+  let c = Obs.Metrics.counter "c"
+  and g = Obs.Metrics.gauge "g"
+  and h = Obs.Metrics.histogram "h" in
+  check "tick" 0 (words_per_call (fun () -> Obs.Metrics.tick c));
+  check "bump" 0 (words_per_call (fun () -> Obs.Metrics.bump c 3));
+  check "set" 0 (words_per_call (fun () -> Obs.Metrics.set g 2.5));
+  check "record" 0 (words_per_call (fun () -> Obs.Metrics.record h 42.0));
+  Obs.Metrics.reset ()
+
+(* With Obs on, a TLB lookup costs what it costs with Obs off: a miss
+   nothing, a hit its [Some pte]. *)
+let tlb_lookup_allocates_nothing () =
+  let tlb = Tlb.create () in
+  Tlb.insert tlb ~asn:3 ~vpn:10 Pte.absent;
+  let hit () = ignore (Tlb.lookup tlb ~asn:3 ~vpn:10)
+  and miss () = ignore (Tlb.lookup tlb ~asn:3 ~vpn:11) in
+  let off_hit = words_per_call hit in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      Obs.reset ();
+      check "miss" 0 (words_per_call miss);
+      check "hit as with Obs off" off_hit (words_per_call hit);
+      checkb "counted" true
+        (Obs.Metrics.counter_value ~label:"asn3" "tlb.misses" > 1000))
+
+let audit_boundary_allocates_nothing () =
+  Obs.reset ();
+  let s = Obs.Qos_audit.cpu_stream ~dom:"d" in
+  check "non-violating boundary" 0
+    (words_per_call (fun () ->
+         Obs.Qos_audit.boundary s ~now:(Time.ms 10) ~entitled:(Time.ms 10)
+           ~got:(Time.ms 10) ~backlogged:true));
+  checkb "audited" true
+    ((Obs.Qos_audit.summarize ()).Obs.Qos_audit.audited_boundaries > 1000);
+  Obs.reset ()
 
 (* --- Ring --- *)
 
@@ -113,10 +230,11 @@ let span_nesting () =
 let audit_cpu_undersupply () =
   Obs.reset ();
   let entitled = Time.ms 10 in
+  let victim = Obs.Qos_audit.cpu_stream ~dom:"victim" in
   let feed ~got ~backlogged n =
     for i = 1 to n do
-      Obs.Qos_audit.cpu_boundary ~now:(Time.ms (10 * i)) ~dom:"victim"
-        ~entitled ~got ~backlogged
+      Obs.Qos_audit.boundary victim ~now:(Time.ms (10 * i)) ~entitled ~got
+        ~backlogged
     done
   in
   (* Underserved but idle: never a violation. *)
@@ -146,9 +264,10 @@ let audit_cpu_undersupply () =
 
 let audit_usd_undersupply () =
   Obs.reset ();
+  let swap = Obs.Qos_audit.usd_stream ~stream:"swap" in
   for i = 1 to 3 do
-    Obs.Qos_audit.usd_boundary ~now:(Time.ms (250 * i)) ~stream:"swap"
-      ~entitled:(Time.ms 50) ~got:(Time.ms 1) ~backlogged:true
+    Obs.Qos_audit.boundary swap ~now:(Time.ms (250 * i)) ~entitled:(Time.ms 50)
+      ~got:(Time.ms 1) ~backlogged:true
   done;
   checkb "usd undersupply flagged" false (Obs.Qos_audit.ok ());
   (* Patience 2: periods 1+2 flag once and reset; period 3 starts a new
@@ -271,11 +390,136 @@ let instrumented_paging_run () =
          QoS violations. *)
       checkb "audit clean" true (Obs.Qos_audit.ok ()))
 
+(* --- Obs on/off: instrumentation never changes the simulated run --- *)
+
+type backing_kind = Disk | Zram | Fleet
+
+let show_backing = function Disk -> "disk" | Zram -> "zram" | Fleet -> "fleet"
+
+(* What a run shows from outside: per app its bytes processed, faults
+   taken and driver statistics; the USD trace; the engine's event
+   count. *)
+let obs_outcome ~obs ~backing ~policy ~pattern ~seed =
+  Obs.set_enabled obs;
+  Obs.reset ();
+  Inject.disarm ();
+  let sys =
+    System.create
+      ~config:{ System.default_config with seed; main_memory_mb = 2 } ()
+  in
+  let sim = System.sim sys in
+  let experiment = "obs-property" in
+  let backing_fn =
+    match backing with
+    | Disk -> None
+    | Zram ->
+      let _, client =
+        match System.admit_service sys ~guarantee:0 ~optimistic:16 with
+        | Ok c -> c
+        | Error e -> failwith (System.error_message e)
+      in
+      let zpool =
+        Share.Zpool.create ~sim ~frames:(System.frames sys) ~client
+          ~ramtab:(System.ramtab sys) ~budget:8 ()
+      in
+      Some
+        (Experiments.Harness.backing ~experiment "zram"
+           [ Share.Sd_zram.Zram { zc_zpool = zpool; zc_label = "app.zram" } ])
+    | Fleet ->
+      let node name =
+        ( name,
+          Tier.Remote_node.create ~capacity_pages:256 (),
+          Usnet.Link.create ~name ~params:Usnet.Net_params.gigabit sim )
+      in
+      let fleet =
+        Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2)
+          ~nodes:[ node "n0"; node "n1" ] sim
+      in
+      Some
+        (Experiments.Harness.fleet_backing ~experiment ~context:[] fleet
+           ~on_store:ignore "app")
+  in
+  let start name ?backing ?policy pattern =
+    let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 50) () in
+    match
+      Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
+        ~qos ~vm_bytes:(256 * 1024) ~phys_frames:4 ~swap_bytes:(1024 * 1024)
+        ?policy ?backing ~pattern ()
+    with
+    | Ok a -> a
+    | Error e -> failwith e
+  in
+  let apps =
+    [ start "app" ?backing:backing_fn ~policy pattern;
+      start "bystander" Workload.Paging_app.Sequential ]
+  in
+  let stop = ref false and events = ref 0 in
+  ignore (Sim.at sim (Time.sec 4) (fun () -> stop := true));
+  while (not !stop) && Sim.step sim do
+    incr events
+  done;
+  let result =
+    ( List.map
+        (fun a ->
+          ( Workload.Paging_app.bytes_processed a,
+            Domains.faults_taken (Workload.Paging_app.domain a).System.dom,
+            Workload.Paging_app.paging_info a ))
+        apps,
+      Trace.filter (fun _ -> true) (Usbs.Usd.trace (System.usd sys)),
+      !events )
+  in
+  Obs.set_enabled false;
+  Obs.reset ();
+  result
+
+let obs_on_off_same_outcome =
+  let policies = [| "fifo"; "clock"; "fifo+ra8"; "fifo+wb16" |] in
+  let patterns =
+    [| Workload.Paging_app.Sequential; Workload.Paging_app.Random;
+       Workload.Paging_app.Hotspot |]
+  in
+  let backings = [| Disk; Zram; Fleet |] in
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 2) (int_bound 3) (int_bound 2) (int_range 1 1000))
+  in
+  let print (b, p, pat, seed) =
+    Printf.sprintf "backing %s, policy %s, pattern %s, seed %d"
+      (show_backing backings.(b)) policies.(p)
+      (Workload.Paging_app.pattern_name patterns.(pat))
+      seed
+  in
+  QCheck.Test.make ~name:"obs on and off give the same run" ~count:12
+    (QCheck.make gen ~print)
+    (fun (b, p, pat, seed) ->
+      let policy =
+        match Policy.Spec.of_string policies.(p) with
+        | Ok s -> s
+        | Error e -> failwith e
+      in
+      let run obs =
+        obs_outcome ~obs ~backing:backings.(b) ~policy
+          ~pattern:patterns.(pat) ~seed
+      in
+      let on = run true in
+      let (_, _, events) as off = run false in
+      events > 0 && on = off)
+
 let suite =
   [ ( "obs.metrics",
       [ Alcotest.test_case "counters and gauges" `Quick
           metrics_counters_and_gauges;
-        Alcotest.test_case "histograms" `Quick metrics_histogram ] );
+        Alcotest.test_case "histograms" `Quick metrics_histogram;
+        Alcotest.test_case "handle across reset" `Quick handle_across_reset;
+        Alcotest.test_case "unused handle registers nothing" `Quick
+          unused_handle_registers_nothing;
+        Alcotest.test_case "kind clash raises" `Quick kind_clash_raises;
+        Alcotest.test_case "resolved handles allocate nothing" `Quick
+          resolved_handles_allocate_nothing;
+        Alcotest.test_case "tlb lookup allocates nothing" `Quick
+          tlb_lookup_allocates_nothing;
+        Alcotest.test_case "audit boundary allocates nothing" `Quick
+          audit_boundary_allocates_nothing ] );
     ( "obs.ring",
       [ Alcotest.test_case "wraparound" `Quick ring_wraparound ] );
     ( "obs.span",
@@ -287,4 +531,5 @@ let suite =
           audit_mem_and_revocation ] );
     ( "obs.integration",
       [ Alcotest.test_case "instrumented paging run" `Quick
-          instrumented_paging_run ] ) ]
+          instrumented_paging_run;
+        QCheck_alcotest.to_alcotest obs_on_off_same_outcome ] ) ]
